@@ -2,8 +2,8 @@
 //! data the binaries print and the tests assert against.
 
 use sea_core::{
-    BatchPolicy, ConcurrentJob, EnhancedSea, Executor, FnPal, LegacySea, PalLogic, PalOutcome,
-    RetryPolicy, SecurePlatform, SessionEngine, SessionReport, SessionResult,
+    BatchPolicy, ConcurrentJob, EnhancedSea, FnPal, LegacySea, PalLogic, PalOutcome, RetryPolicy,
+    SecurePlatform, SessionEngine, SessionReport, SessionResult,
 };
 use sea_hw::{
     CpuId, FaultPlan, Obs, PageIndex, PageRange, Platform, ResetPlan, SimDuration, TpmKind,
@@ -718,7 +718,7 @@ pub fn ablation_sepcr(attempted: usize, bank_sizes: &[u16]) -> Vec<SePcrPoint> {
 /// One point of the throughput-vs-core-count sweep.
 #[derive(Debug, Clone)]
 pub struct ThroughputPoint {
-    /// Worker threads = simulated CPUs running PAL sessions.
+    /// Workers = simulated CPUs running PAL sessions.
     pub workers: usize,
     /// Sessions completed.
     pub jobs: usize,
@@ -1057,14 +1057,13 @@ pub struct ScalePoint {
 
 /// Durable-batch goodput vs platform width, far past the host's core
 /// count: pushes `jobs` identical attested sessions through a
-/// crash-consistent [`SessionEngine`] batch on the **discrete-event
-/// executor** ([`Executor::DiscreteEvent`]) at each virtual-CPU count —
-/// the thread-pool backend would need one OS thread per simulated CPU
-/// and so caps out at the host. Every point replays the same power-loss
-/// tape ([`SCALE_SEED`]), and because the event queue's schedule is
+/// crash-consistent [`SessionEngine`] batch at each virtual-CPU count —
+/// the discrete-event executor steps every virtual CPU on one OS
+/// thread. Every point replays the same power-loss tape
+/// ([`SCALE_SEED`]), and because the event queue's schedule is
 /// structural, the *whole* ledger — resets, the committed/relaunched
 /// split, recovery accounting — is byte-identical run to run at every
-/// width (the thread pool can promise that only at one worker).
+/// width.
 pub fn scale(cpu_counts: &[usize], jobs: usize, work: SimDuration) -> Vec<ScalePoint> {
     scale_with_obs(cpu_counts, jobs, work, Obs::null())
 }
@@ -1105,8 +1104,7 @@ pub fn scale_with_obs(
                     batch,
                     &BatchPolicy::plain()
                         .with_retry(RetryPolicy::default())
-                        .with_durability(plan)
-                        .with_executor(Executor::DiscreteEvent),
+                        .with_durability(plan),
                 )
                 .expect("batch runs");
             ScalePoint {
@@ -1312,7 +1310,7 @@ pub fn churn_plan(intensity: u32) -> sea_fleet::ChurnPlan {
 /// [`FleetPolicy`](sea_fleet::FleetPolicy) and finite verifier
 /// freshness/ticket windows, then charts how goodput degrades and what
 /// share of wire traffic the verifier turns away. Deterministic at
-/// every intensity, shard count, and executor.
+/// every intensity and shard count.
 pub fn churn_sweep(intensities: &[u32], requests: usize) -> Vec<ChurnPoint> {
     churn_sweep_with_obs(intensities, requests, Obs::null())
 }
@@ -1509,13 +1507,12 @@ pub fn vm_dispatch_with_obs(obs: Obs) -> Vec<VmPoint> {
         .collect()
 }
 
-/// Cross-executor pin for the VM artifact: a batch of four VM PALs
-/// (one session each) run through the session engine on the one- and
-/// four-worker thread pools and the discrete-event executor. Returns
-/// whether every job's attestation quote was byte-identical across all
-/// three schedules — the engine's determinism contract extended to
-/// executed bytecode.
-pub fn vm_quotes_identical_across_executors() -> bool {
+/// Worker-count pin for the VM artifact: a batch of four VM PALs (one
+/// session each) run through the session engine at one worker (the
+/// serial schedule) and at four. Returns whether every job's
+/// attestation quote was byte-identical across both schedules — the
+/// engine's determinism contract extended to executed bytecode.
+pub fn vm_quotes_identical_across_worker_counts() -> bool {
     use sea_pals::vm::{vm_ca, vm_factoring, vm_rootkit, vm_ssh};
     use sea_pals::{CaRequest, PersistMode, SshRequest};
     let batch = || -> Vec<ConcurrentJob> {
@@ -1533,13 +1530,12 @@ pub fn vm_quotes_identical_across_executors() -> bool {
             ConcurrentJob::new(Box::new(vm_rootkit(&[&kernel])), kernel.clone()),
         ]
     };
-    let quotes = |workers: usize, executor: Executor| -> Vec<Quote> {
+    let quotes = |workers: usize| -> Vec<Quote> {
         let mut sea = SessionEngine::<sea_core::Slaunch>::new(
             platform(Platform::recommended(workers as u16), b"vm-exec"),
             workers,
         )
-        .expect("pool fits platform")
-        .with_executor(executor);
+        .expect("pool fits platform");
         let out = sea
             .run(
                 batch(),
@@ -1554,8 +1550,7 @@ pub fn vm_quotes_identical_across_executors() -> bool {
             })
             .collect()
     };
-    let reference = quotes(1, Executor::ThreadPool);
-    quotes(4, Executor::ThreadPool) == reference && quotes(4, Executor::DiscreteEvent) == reference
+    quotes(4) == quotes(1)
 }
 
 #[cfg(test)]

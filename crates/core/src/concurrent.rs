@@ -1,24 +1,16 @@
-//! The batch data model, plus the retired concurrent-engine facade.
-//!
-//! The executor itself lives in [`crate::engine`]: one generic
-//! [`SessionEngine`] whose behavior is composed from a
-//! [`BatchPolicy`]. This module keeps what batches are *made of* —
-//! [`ConcurrentJob`], [`JobResult`], [`SessionResult`] — and the
-//! historical [`ConcurrentSea`] facade with its three outcome structs,
-//! as thin deprecated shims over the unified engine so the
-//! equivalence tests can prove old-vs-new byte-identity.
+//! The batch data model: what batches are *made of* —
+//! [`ConcurrentJob`], [`JobResult`], [`SessionResult`]. The executor
+//! itself lives in [`crate::engine`]: one generic [`crate::SessionEngine`]
+//! whose behavior is composed from a [`crate::BatchPolicy`].
 
-use sea_hw::{CpuId, FaultPlan, ResetPlan, SimDuration};
+use sea_hw::{CpuId, SimDuration};
 use sea_tpm::Quote;
 
-use crate::engine::{rate_per_sec, speedup, BatchPolicy, SessionEngine, SessionTally, Slaunch};
 use crate::error::SeaError;
 use crate::pal::PalLogic;
-use crate::platform::SecurePlatform;
-use crate::recovery::RetryPolicy;
 use crate::report::SessionReport;
 
-/// One unit of work for the pool: a PAL plus its input.
+/// One unit of work for a batch: a PAL plus its input.
 pub struct ConcurrentJob {
     pub(crate) logic: Box<dyn PalLogic + Send>,
     pub(crate) input: Vec<u8>,
@@ -51,36 +43,6 @@ impl JobResult {
     /// The job's full virtual cost: session plus attestation.
     pub fn total(&self) -> SimDuration {
         self.report.total() + self.quote_cost
-    }
-}
-
-/// Aggregate outcome of one [`ConcurrentSea::run_batch`], retired in
-/// favor of [`crate::engine::BatchOutcome`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConcurrentOutcome {
-    /// Per-job results, in job-index order.
-    pub results: Vec<JobResult>,
-    /// Virtual busy time accumulated by each worker/CPU.
-    pub cpu_busy: Vec<SimDuration>,
-    /// Virtual wall time of the batch: the busiest CPU's total (the
-    /// other CPUs' work overlaps it).
-    pub wall: SimDuration,
-}
-
-impl ConcurrentOutcome {
-    /// Sum of all jobs' virtual costs (the serial-execution wall time).
-    pub fn aggregate(&self) -> SimDuration {
-        self.results.iter().map(JobResult::total).sum()
-    }
-
-    /// Sessions completed per virtual second of batch wall time.
-    pub fn throughput_per_sec(&self) -> f64 {
-        rate_per_sec(self.results.len(), self.wall)
-    }
-
-    /// Parallel speedup over running the same batch on one CPU.
-    pub fn speedup(&self) -> f64 {
-        speedup(self.aggregate(), self.wall)
     }
 }
 
@@ -146,201 +108,5 @@ impl SessionResult {
     /// Whether the session was killed.
     pub fn is_killed(&self) -> bool {
         matches!(self, SessionResult::Killed { .. })
-    }
-}
-
-/// Aggregate outcome of one [`ConcurrentSea::run_batch_recovered`],
-/// retired in favor of [`crate::engine::BatchOutcome`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredOutcome {
-    /// Per-job outcomes, in job-index order.
-    pub sessions: Vec<SessionResult>,
-    /// Virtual busy time accumulated by each worker/CPU.
-    pub cpu_busy: Vec<SimDuration>,
-    /// Virtual wall time of the batch (busiest CPU's total).
-    pub wall: SimDuration,
-}
-
-impl RecoveredOutcome {
-    /// Number of sessions that completed with a quote.
-    pub fn quoted(&self) -> usize {
-        SessionTally::of(&self.sessions).quoted
-    }
-
-    /// Number of sessions killed after exhausting their retry budget.
-    pub fn killed(&self) -> usize {
-        SessionTally::of(&self.sessions).killed
-    }
-
-    /// Completed (quoted or degraded) sessions per virtual second of
-    /// batch wall time.
-    pub fn goodput_per_sec(&self) -> f64 {
-        rate_per_sec(SessionTally::of(&self.sessions).completed(), self.wall)
-    }
-}
-
-/// Aggregate outcome of one [`ConcurrentSea::run_batch_durable`],
-/// retired in favor of [`crate::engine::BatchOutcome`]: a recovered
-/// batch plus its crash history.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurableOutcome {
-    /// Per-job outcomes, in job-index order.
-    pub sessions: Vec<SessionResult>,
-    /// Virtual busy time accumulated by each worker/CPU, including work
-    /// torn by crashes and redone after recovery.
-    pub cpu_busy: Vec<SimDuration>,
-    /// Virtual wall time of the batch: the busiest CPU's total plus the
-    /// serial recovery and journal-checkpoint overheads.
-    pub wall: SimDuration,
-    /// Platform resets the batch survived.
-    pub resets: u32,
-    /// Session keys restored from the journal at the *last* recovery
-    /// (empty when no reset fired).
-    pub committed: Vec<u64>,
-    /// Session keys relaunched at the *last* recovery (empty when no
-    /// reset fired). With `resets > 0`,
-    /// `committed.len() + relaunched.len()` equals the batch size.
-    pub relaunched: Vec<u64>,
-    /// Virtual time spent on reboots and journal unsealing across all
-    /// recoveries.
-    pub recovery_latency: SimDuration,
-    /// Virtual time spent sealing journal checkpoints into NVRAM.
-    pub journal_overhead: SimDuration,
-}
-
-impl DurableOutcome {
-    /// Number of sessions that completed with a quote.
-    pub fn quoted(&self) -> usize {
-        SessionTally::of(&self.sessions).quoted
-    }
-
-    /// Number of sessions that completed on the degraded slow path.
-    pub fn degraded(&self) -> usize {
-        SessionTally::of(&self.sessions).degraded
-    }
-
-    /// Number of sessions killed after exhausting their retry budget.
-    pub fn killed(&self) -> usize {
-        SessionTally::of(&self.sessions).killed
-    }
-
-    /// Completed (quoted or degraded) sessions per virtual second of
-    /// batch wall time — the crash sweep's goodput axis.
-    pub fn goodput_per_sec(&self) -> f64 {
-        rate_per_sec(SessionTally::of(&self.sessions).completed(), self.wall)
-    }
-}
-
-/// The retired multi-core engine facade: a thin wrapper over
-/// [`SessionEngine<Slaunch>`], kept so the equivalence tests can prove
-/// the unified executor reproduces the historical entry points byte
-/// for byte. New code should hold a [`SessionEngine`] directly and
-/// compose a [`BatchPolicy`].
-pub struct ConcurrentSea {
-    engine: SessionEngine<Slaunch>,
-}
-
-impl ConcurrentSea {
-    /// Builds a pool of `workers` worker threads (worker *k* drives CPU
-    /// *k*) over a fresh [`crate::EnhancedSea`] on `platform`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SessionEngine::new`].
-    pub fn new(platform: SecurePlatform, workers: usize) -> Result<Self, SeaError> {
-        Ok(ConcurrentSea {
-            engine: SessionEngine::new(platform, workers)?,
-        })
-    }
-
-    /// Installs (or clears) a deterministic fault plan on the shared
-    /// engine.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.engine.set_fault_plan(plan);
-    }
-
-    /// Runs a plain batch. Retired: compose
-    /// [`SessionEngine::run`] with [`BatchPolicy::plain`] instead.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SessionEngine::run`] on the plain path.
-    #[deprecated(note = "use SessionEngine::run with BatchPolicy::plain()")]
-    pub fn run_batch(&mut self, jobs: Vec<ConcurrentJob>) -> Result<ConcurrentOutcome, SeaError> {
-        let out = self.engine.run(jobs, &BatchPolicy::plain())?;
-        let mut results = Vec::with_capacity(out.sessions.len());
-        for session in out.sessions {
-            match session {
-                SessionResult::Quoted { result, .. } => results.push(result),
-                _ => {
-                    return Err(SeaError::EngineFault(
-                        "plain batch yielded a non-quoted session",
-                    ))
-                }
-            }
-        }
-        Ok(ConcurrentOutcome {
-            results,
-            cpu_busy: out.cpu_busy,
-            wall: out.wall,
-        })
-    }
-
-    /// Runs a batch with `policy`-bounded fault recovery. Retired:
-    /// compose [`SessionEngine::run`] with
-    /// [`BatchPolicy::with_retry`] instead.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SessionEngine::run`] under a retry policy.
-    #[deprecated(note = "use SessionEngine::run with BatchPolicy::plain().with_retry(..)")]
-    pub fn run_batch_recovered(
-        &mut self,
-        jobs: Vec<ConcurrentJob>,
-        policy: RetryPolicy,
-    ) -> Result<RecoveredOutcome, SeaError> {
-        let out = self
-            .engine
-            .run(jobs, &BatchPolicy::plain().with_retry(policy))?;
-        Ok(RecoveredOutcome {
-            sessions: out.sessions,
-            cpu_busy: out.cpu_busy,
-            wall: out.wall,
-        })
-    }
-
-    /// Runs a batch with fault recovery **and** crash-consistency.
-    /// Retired: compose [`SessionEngine::run`] with
-    /// [`BatchPolicy::with_retry`] + [`BatchPolicy::with_durability`]
-    /// instead.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SessionEngine::run`] under a durability policy.
-    #[deprecated(
-        note = "use SessionEngine::run with BatchPolicy::plain().with_retry(..).with_durability(..)"
-    )]
-    pub fn run_batch_durable(
-        &mut self,
-        jobs: Vec<ConcurrentJob>,
-        policy: RetryPolicy,
-        plan: ResetPlan,
-    ) -> Result<DurableOutcome, SeaError> {
-        let out = self.engine.run(
-            jobs,
-            &BatchPolicy::plain()
-                .with_retry(policy)
-                .with_durability(plan),
-        )?;
-        Ok(DurableOutcome {
-            sessions: out.sessions,
-            cpu_busy: out.cpu_busy,
-            wall: out.wall,
-            resets: out.resets,
-            committed: out.committed,
-            relaunched: out.relaunched,
-            recovery_latency: out.recovery_latency,
-            journal_overhead: out.journal_overhead,
-        })
     }
 }

@@ -1,10 +1,9 @@
 //! The discrete-event executor: simulated CPUs on one OS thread.
 //!
-//! Where [`crate::threadpool`] assigns each simulated CPU a real OS
-//! thread — capping how much hardware one process can model at the
-//! host's core count — this backend replaces threads with *virtual
-//! CPUs* stepped by a deterministic event queue
-//! ([`sea_hw::EventQueue`]). Each event advances one session by exactly
+//! The engine's only executor. Instead of giving each simulated CPU a
+//! real OS thread — which would cap the modelled hardware at the host's
+//! core count — it steps *virtual CPUs* through a deterministic event
+//! queue ([`sea_hw::EventQueue`]). Each event advances one session by exactly
 //! one architecture operation ([`SessionDriver::advance`]); the
 //! operation's machine-clock charge (plus any CPU-local retry backoff)
 //! becomes the virtual-time gap to the session's next event. Ordering
@@ -24,12 +23,12 @@
 //!   event, in event order.
 //!
 //! With one virtual CPU the event timeline degenerates to the serial
-//! schedule, so the executor is byte-identical to the one-worker thread
-//! pool *including the machine trace* — the golden differential suite
-//! pins this. At higher CPU counts every session-level output (results,
-//! quotes, per-CPU busy time, wall time) remains byte-identical to the
-//! thread pool because those quantities are interleaving-invariant by
-//! the engine's determinism contract.
+//! schedule, machine trace included; that run is the reference the
+//! golden and worker-count differential suites compare wider runs
+//! against. At higher CPU counts every session-level output (results,
+//! quotes, per-job costs) stays byte-identical to it because those
+//! quantities are interleaving-invariant by the engine's determinism
+//! contract.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -66,15 +65,14 @@ struct VirtualCpu<A: Architecture> {
 }
 
 /// Runs one epoch of the batch on `workers` virtual CPUs driven by the
-/// event queue. Same contract as the thread-pool
-/// [`crate::threadpool::run_epoch`]: per-job attempts indexed by job,
-/// plus each virtual CPU's busy time.
+/// event queue. Returns the per-job attempts (indexed by job) and each
+/// virtual CPU's busy time for the epoch.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_epoch<A: Architecture>(
     workers: usize,
     n_jobs: usize,
     pending: Vec<(usize, ConcurrentJob)>,
-    rt: &Arc<OrderedLock<A::Runtime>>,
+    rt: &OrderedLock<A::Runtime>,
     obs: &Obs,
     clock: &Arc<SharedClock>,
     epoch: SimTime,
@@ -88,7 +86,7 @@ pub(crate) fn run_epoch<A: Architecture>(
         })
         .collect();
     // Jobs keep their static assignment (job i → virtual CPU
-    // i % workers) in every epoch, matching the thread pool.
+    // i % workers) in every epoch.
     for (i, job) in pending {
         cpus[i % workers].queue.push_back((i, job));
     }
@@ -98,8 +96,7 @@ pub(crate) fn run_epoch<A: Architecture>(
     let mut tpm_gate = ShardedTpmArbiter::new();
 
     // The virtual timeline starts at zero each epoch; only its ordering
-    // matters (busy/wall accounting uses intrinsic costs, exactly as
-    // the thread pool does).
+    // matters (busy/wall accounting uses intrinsic per-job costs).
     for (k, vcpu) in cpus.iter_mut().enumerate() {
         if let Some(&(i, _)) = vcpu.queue.front() {
             events.schedule(SimTime::ZERO, i as u64, Ev::Start { cpu: k });
@@ -208,8 +205,7 @@ pub(crate) fn run_epoch<A: Architecture>(
                 // holds the runtime lock for its machine-clock charge.
                 // (Lock stats live outside the snapshot — see
                 // `sea_hw::RecordingSink::lock_stats` — so this cannot
-                // perturb snapshot parity with the thread pool, whose
-                // host-clock waits are unmeterable in virtual time.)
+                // perturb snapshot parity across worker counts.)
                 obs.lock_event("core.runtime", Layer::Core, SimDuration::ZERO, elapsed);
                 if gated {
                     // The grant kept its request stamp: the gap from

@@ -1,15 +1,11 @@
-//! The per-session drive state machine shared by both executors.
+//! The per-session drive state machine the executor steps.
 //!
-//! The retired `drive_plain`/`drive_recovered` functions walked a job
-//! through its lifecycle with nested loops, which only a dedicated OS
-//! thread could execute: the control state between two architecture
-//! operations lived on that thread's stack. [`SessionDriver`] reifies
-//! that control state as an explicit machine over the same typestate
+//! [`SessionDriver`] holds a job's control state between two
+//! architecture operations as an explicit machine over the typestate
 //! lifecycle (`Launched → Stepping → Sealed`, Figure 6), advanced **one
-//! architecture operation per call** — which is exactly the granularity
-//! a discrete-event executor needs to interleave many sessions on one
-//! OS thread, and which the thread-pool executor simply drives in a
-//! tight loop.
+//! architecture operation per call** — exactly the granularity the
+//! discrete-event executor needs to interleave many sessions on one OS
+//! thread.
 //!
 //! The operation order is the contract: launch (retrying in place, or
 //! degrading on saturation) → step/resume to exit (a faulted resume
@@ -410,21 +406,6 @@ impl<A: Architecture> SessionDriver<A> {
             Phase::Done => DriveStep::Terminal(Err(SeaError::EngineFault(
                 "advance called on a terminal session driver",
             ))),
-        }
-    }
-
-    /// Drives the session to its terminal in one call (the thread-pool
-    /// executor's whole-job loop).
-    pub(crate) fn run_to_terminal(
-        &mut self,
-        rt: &OrderedLock<A::Runtime>,
-        obs: &Obs,
-        journal: Option<&OrderedLock<SessionJournal>>,
-    ) -> Result<SessionResult, SeaError> {
-        loop {
-            if let DriveStep::Terminal(result) = self.advance(rt, obs, journal) {
-                return result;
-            }
         }
     }
 }

@@ -21,40 +21,32 @@
 //!   NVRAM), pick a worker count for concurrency. Every combination
 //!   returns the same [`BatchOutcome`].
 //!
-//! # Executors
+//! # Executor
 //!
-//! The engine runs each batch epoch on one of two interchangeable
-//! backends, selected by [`Executor`] (engine-wide via
-//! [`SessionEngine::with_executor`] or the `SEA_EXECUTOR` environment
-//! variable, per batch via [`BatchPolicy::with_executor`]):
-//!
-//! * [`Executor::ThreadPool`] — one OS thread per simulated CPU (the
-//!   original backend; see `crate::threadpool`).
-//! * [`Executor::DiscreteEvent`] — virtual CPUs stepped by a
-//!   deterministic `(time, session id)` event queue on one OS thread,
-//!   so a batch can model far more CPUs than the host has cores (see
-//!   `crate::des`).
+//! Every batch epoch runs on the discrete-event executor
+//! ([`Executor::DiscreteEvent`], see `crate::des`): virtual CPUs stepped
+//! by a deterministic `(time, session id)` event queue on the calling
+//! OS thread, so a batch can model far more CPUs than the host has
+//! cores. Host parallelism stays coarse-grained, above the engine
+//! (suite experiments, fleet shards).
 //!
 //! # Determinism
 //!
-//! Both executors inherit the concurrent engine's contract: job *i*
-//! runs on worker/CPU `i % workers`, per-job costs are intrinsic,
-//! per-CPU busy time folds into the shared timeline via an atomic max,
-//! and results return in job-index order — so outcomes are
-//! byte-identical across worker counts, host interleavings, *and
-//! executors*. The differential suites (`tests/golden_differential.rs`,
-//! `tests/executor_differential.rs`) pin the two backends against each
-//! other.
+//! Job *i* runs on virtual CPU `i % workers`, per-job costs are
+//! intrinsic, per-CPU busy time folds into the shared timeline via a
+//! max, and results return in job-index order — so session results and
+//! quotes are byte-identical across worker counts. With one worker the
+//! event timeline is the serial schedule, which makes the one-worker
+//! run the reference every wider run is compared against
+//! (`tests/golden_differential.rs`, `tests/executor_differential.rs`).
 //!
 //! # Lock scope
 //!
-//! The shared runtime is locked **per operation**, never per job, and
-//! the hot path keeps obs emission for retries *outside* the engine
-//! lock: a retry's `recovery.backoff` leaf lands on the session's own
-//! track (owned by exactly one worker, ordered by a per-track
-//! sequence) and counters are order-insensitive, so neither needs the
-//! lock. Only shared-state mutations — trace records, journal commit
-//! gates, `PLATFORM_TRACK` spans — still serialize on it.
+//! The shared runtime is locked **per operation**, never per job. The
+//! [`OrderedLock`] ranks keep the nesting of the commit gate and the
+//! recovery path honest, and the lock events the executor records
+//! (`core.runtime`, `tpm.gate`, `journal.seal`) attribute virtual-time
+//! contention per lock class.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,6 +59,7 @@ use sea_hw::{
 use sea_tpm::{Quote, SealedBlob, Timed};
 
 use crate::concurrent::{ConcurrentJob, JobResult, SessionResult};
+use crate::des;
 use crate::enhanced::{EnhancedSea, PalId, PalStep};
 use crate::error::SeaError;
 use crate::journal::SessionJournal;
@@ -76,47 +69,28 @@ use crate::pal::PalLogic;
 use crate::platform::SecurePlatform;
 use crate::recovery::RetryPolicy;
 use crate::report::SessionReport;
-use crate::{des, threadpool};
 
 /// TPM NVRAM index where the durable engine parks the sealed session
-/// journal ("SJNL" in ASCII). One checkpoint blob lives here at a time;
-/// each terminal commit overwrites it.
+/// journal ("SJNL" in ASCII). One checkpoint blob lives here at a time:
+/// each durable batch clears it before its first job, and each sealed
+/// commit overwrites it.
 pub const JOURNAL_NV_INDEX: u32 = 0x534a_4e4c;
 
-/// Which backend executes a batch epoch.
+/// The backend that executes a batch epoch.
 ///
-/// Both backends satisfy the engine's determinism contract and produce
-/// byte-identical session results, quotes, per-CPU busy times, and
-/// wall times for the same batch; they differ in *how* concurrency is
-/// realised — OS threads racing on locks versus virtual CPUs stepped
-/// by a deterministic event queue.
+/// The engine has exactly one, so this enum has one variant. Callers
+/// that name the backend they depend on pass it to
+/// [`SessionEngine::with_executor`] or [`BatchPolicy::with_executor`];
+/// neither builder has anything to select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Executor {
-    /// One OS thread per simulated CPU (the default). Limited to the
-    /// host's appetite for threads; interleaving is host-dependent,
-    /// determinism is enforced by folding.
-    #[default]
-    ThreadPool,
     /// Virtual CPUs on one OS thread, stepped in `(event time, session
     /// id)` order by a discrete-event queue. Scales to platforms far
     /// wider than the host (1024 virtual CPUs in one process) and makes
     /// the whole schedule — including the machine trace — a pure
     /// function of the batch.
+    #[default]
     DiscreteEvent,
-}
-
-impl Executor {
-    /// Resolves the executor from the `SEA_EXECUTOR` environment
-    /// variable: `des` / `discrete-event` / `event` select
-    /// [`Executor::DiscreteEvent`], `threads` / `thread-pool` /
-    /// `threadpool` select [`Executor::ThreadPool`], anything else
-    /// (including unset) falls back to the default thread pool.
-    pub fn from_env() -> Self {
-        match std::env::var("SEA_EXECUTOR").as_deref() {
-            Ok("des") | Ok("discrete-event") | Ok("event") => Executor::DiscreteEvent,
-            _ => Executor::ThreadPool,
-        }
-    }
 }
 
 /// Completions per virtual second of wall time — the one rate formula
@@ -692,17 +666,10 @@ impl<A: Architecture> Session<'_, A, Sealed> {
 /// [`BatchPolicy::plain`] and layer on the policy objects the batch
 /// needs. Concurrency is not a policy — it is the engine's worker
 /// count.
-///
-/// | composition                    | retired entry point      |
-/// |--------------------------------|--------------------------|
-/// | `plain()`                      | `run_batch`              |
-/// | `.with_retry(...)`             | `run_batch_recovered`    |
-/// | `.with_retry(...).with_durability(...)` | `run_batch_durable` |
 #[derive(Debug, Clone, Default)]
 pub struct BatchPolicy {
     retry: Option<RetryPolicy>,
     durability: Option<ResetPlan>,
-    executor: Option<Executor>,
     group_commit: usize,
 }
 
@@ -730,11 +697,9 @@ impl BatchPolicy {
         self
     }
 
-    /// Overrides the engine's executor for batches run under this
-    /// policy (the engine's own choice — [`SessionEngine::with_executor`]
-    /// or `SEA_EXECUTOR` — applies otherwise).
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = Some(executor);
+    /// Names the executor the batch runs on. [`Executor`] has one
+    /// variant, so the policy is returned unchanged.
+    pub fn with_executor(self, _executor: Executor) -> Self {
         self
     }
 
@@ -765,17 +730,11 @@ impl BatchPolicy {
     pub fn durability(&self) -> Option<&ResetPlan> {
         self.durability.as_ref()
     }
-
-    /// The executor override, if one was requested.
-    pub fn executor(&self) -> Option<Executor> {
-        self.executor
-    }
 }
 
-/// Aggregate outcome of one [`SessionEngine::run`], subsuming the
-/// retired `ConcurrentOutcome` / `RecoveredOutcome` / `DurableOutcome`
-/// triple: the crash-history fields are zero / empty for batches whose
-/// policy carried no [`ResetPlan`].
+/// Aggregate outcome of one [`SessionEngine::run`] under any policy:
+/// the crash-history fields are zero / empty for batches whose policy
+/// carried no [`ResetPlan`].
 ///
 /// The per-session results are byte-identical across worker counts,
 /// and — for durable batches — byte-identical to the crash-free run of
@@ -942,10 +901,8 @@ impl DurableCtx<'_> {
     /// shared PLATFORM_TRACK, so their ordering must serialize with
     /// the commits.)
     ///
-    /// Identical for both executors: on the thread pool the gate runs
-    /// on the worker's thread right after the drive; on the
-    /// discrete-event backend it runs at the session's terminal event,
-    /// in event order.
+    /// The executor runs the gate at the session's terminal event, in
+    /// event order.
     pub(crate) fn commit_gate<A: Architecture>(
         &self,
         rt: &OrderedLock<A::Runtime>,
@@ -1004,8 +961,8 @@ impl DurableCtx<'_> {
         obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.seal", sealed.elapsed);
         obs.add("journal.commits", 1);
         // Contention attribution: the seal is the long pole of the
-        // commit gate's engine-lock hold. Emitted on both executors
-        // (pure sums, so it cannot perturb snapshot parity).
+        // commit gate's engine-lock hold (pure sums, so it cannot
+        // perturb snapshot parity).
         obs.lock_event(
             "journal.seal",
             Layer::Tpm,
@@ -1033,9 +990,9 @@ pub(crate) enum WorkerMode<'a> {
     Durable(DurableCtx<'a>),
 }
 
-/// The unified batch engine: a worker pool (worker *k* plays CPU *k*)
-/// driving sessions of architecture `A` against **one shared** runtime,
-/// with batch behavior composed from a [`BatchPolicy`].
+/// The unified batch engine: `workers` virtual CPUs (worker *k* plays
+/// CPU *k*) driving sessions of architecture `A` against **one shared**
+/// runtime, with batch behavior composed from a [`BatchPolicy`].
 ///
 /// # Example
 ///
@@ -1061,14 +1018,13 @@ pub(crate) enum WorkerMode<'a> {
 /// assert!(outcome.speedup() > 1.0);
 /// ```
 pub struct SessionEngine<A: Architecture = Slaunch> {
-    rt: Arc<OrderedLock<A::Runtime>>,
+    rt: OrderedLock<A::Runtime>,
     clock: Arc<SharedClock>,
     workers: usize,
-    executor: Executor,
 }
 
 impl<A: Architecture> SessionEngine<A> {
-    /// Boots an engine of `workers` worker threads (worker *k* drives
+    /// Boots an engine of `workers` virtual CPUs (worker *k* drives
     /// CPU *k*) over a fresh `A::Runtime` on `platform`.
     ///
     /// # Errors
@@ -1080,11 +1036,8 @@ impl<A: Architecture> SessionEngine<A> {
     /// non-[`Architecture::CONCURRENT`] architectures, whose launches
     /// monopolize the whole platform.
     ///
-    /// The executor backend defaults to [`Executor::from_env`]
-    /// (`SEA_EXECUTOR`); override with [`SessionEngine::with_executor`].
-    /// On the discrete-event backend "worker threads" are virtual CPUs
-    /// on one OS thread, so `workers` may far exceed the host's cores —
-    /// the cap is still the *platform's* CPU count.
+    /// Workers are virtual CPUs on one OS thread, so `workers` may far
+    /// exceed the host's cores — the cap is the *platform's* CPU count.
     pub fn new(mut platform: SecurePlatform, workers: usize) -> Result<Self, SeaError> {
         let n_cpus = platform.machine().cpus().len();
         let cap = if A::CONCURRENT { n_cpus } else { 1 };
@@ -1096,8 +1049,8 @@ impl<A: Architecture> SessionEngine<A> {
         }
         // Pin TPM latencies to their nominal means: with jitter, a
         // command's sampled cost depends on its position in the shared
-        // noise stream — i.e. on thread interleaving — which would break
-        // the byte-identical serial/parallel contract. (A PAL that emits
+        // noise stream — i.e. on how sessions interleave — which would
+        // break the byte-identical serial/parallel contract. (A PAL that emits
         // TPM RNG output verbatim is likewise outside the contract; the
         // RNG stream is shared for the same reason.)
         if let Some(tpm) = platform.tpm_mut() {
@@ -1105,33 +1058,22 @@ impl<A: Architecture> SessionEngine<A> {
         }
         let rt = A::boot(platform)?;
         Ok(SessionEngine {
-            rt: Arc::new(OrderedLock::new(LockRank::Runtime, rt)),
+            rt: OrderedLock::new(LockRank::Runtime, rt),
             clock: Arc::new(SharedClock::new()),
             workers,
-            executor: Executor::from_env(),
         })
     }
 
-    /// Number of worker threads (= CPUs driven).
+    /// Number of workers (= virtual CPUs driven).
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Selects the executor backend (builder form).
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
+    /// Names the executor the engine runs on (builder form).
+    /// [`Executor`] has one variant, so the engine is returned
+    /// unchanged.
+    pub fn with_executor(self, _executor: Executor) -> Self {
         self
-    }
-
-    /// Selects the executor backend in place.
-    pub fn set_executor(&mut self, executor: Executor) {
-        self.executor = executor;
-    }
-
-    /// The engine's executor backend (a [`BatchPolicy::with_executor`]
-    /// override still takes precedence per batch).
-    pub fn executor(&self) -> Executor {
-        self.executor
     }
 
     /// Installs the observability handle into the shared runtime's
@@ -1176,7 +1118,7 @@ impl<A: Architecture> SessionEngine<A> {
         Session::start(&self.rt, logic, input, cpu, index, None)
     }
 
-    /// Runs a batch of jobs to completion across the worker pool under
+    /// Runs a batch of jobs to completion across the workers under
     /// `policy` and collects results in job-index order.
     ///
     /// Job *i* is statically assigned to worker `i % workers` (across
@@ -1239,7 +1181,16 @@ impl<A: Architecture> SessionEngine<A> {
         }
         let workers = self.workers;
         let retry = policy.retry();
-        let exec = policy.executor().unwrap_or(self.executor);
+        if policy.durability().is_some() {
+            // The journal checkpoint in NVRAM belongs to one batch: a
+            // crash before this batch's first seal must recover an
+            // empty journal, never an earlier batch's results.
+            A::platform_mut(&mut lock(&self.rt))
+                .tpm_mut()
+                .ok_or(SeaError::NoTpm)?
+                .nvram_mut()
+                .delete_blob(JOURNAL_NV_INDEX);
+        }
 
         let journal = OrderedLock::new(LockRank::Journal, SessionJournal::new());
         let triggers = policy
@@ -1261,13 +1212,12 @@ impl<A: Architecture> SessionEngine<A> {
             // group-commit buffer along with the rest of volatile state.
             let pending_seals = AtomicUsize::new(0);
             // Every domain anchors at the epoch's start: reading the
-            // clock inside each worker would skew late-spawned domains
-            // by however far an early sibling had already published.
+            // clock inside each virtual CPU would skew later domains by
+            // however far an earlier sibling had already published.
             let epoch = self.clock.now();
             let reset_epoch = resets as u64;
-            // One obs handle for the whole epoch, cloned before the
-            // workers spawn so the hot path never locks the runtime
-            // just to reach the sink.
+            // One obs handle for the whole epoch, cloned up front so the
+            // hot path never locks the runtime just to reach the sink.
             let obs = self.obs();
             let mode = match (retry, &triggers) {
                 (r, Some(triggers)) => WorkerMode::Durable(DurableCtx {
@@ -1289,28 +1239,16 @@ impl<A: Architecture> SessionEngine<A> {
             // order they were submitted or re-queued in.
             pending.sort_unstable_by_key(|(i, _)| *i);
             let pending_epoch = std::mem::take(&mut pending);
-            let (attempts, busy) = match exec {
-                Executor::ThreadPool => threadpool::run_epoch::<A>(
-                    workers,
-                    n_jobs,
-                    pending_epoch,
-                    &self.rt,
-                    &obs,
-                    &self.clock,
-                    epoch,
-                    mode,
-                )?,
-                Executor::DiscreteEvent => des::run_epoch::<A>(
-                    workers,
-                    n_jobs,
-                    pending_epoch,
-                    &self.rt,
-                    &obs,
-                    &self.clock,
-                    epoch,
-                    mode,
-                )?,
-            };
+            let (attempts, busy) = des::run_epoch::<A>(
+                workers,
+                n_jobs,
+                pending_epoch,
+                &self.rt,
+                &obs,
+                &self.clock,
+                epoch,
+                mode,
+            )?;
             for (k, b) in busy.into_iter().enumerate() {
                 cpu_busy[k] += b;
             }
@@ -1413,15 +1351,7 @@ impl<A: Architecture> SessionEngine<A> {
 
     /// Tears the engine down, returning the shared runtime (e.g. to
     /// inspect the platform's final state in tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if worker threads still hold the runtime (they cannot:
-    /// [`SessionEngine::run`] joins them before returning).
     pub fn into_inner(self) -> A::Runtime {
-        Arc::try_unwrap(self.rt)
-            .map_err(|_| ())
-            .expect("no workers are live outside run")
-            .into_inner()
+        self.rt.into_inner()
     }
 }

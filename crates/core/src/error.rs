@@ -42,7 +42,7 @@ pub enum SeaError {
     },
     /// The PAL's application logic reported a failure.
     PalFailed(String),
-    /// The concurrent engine was asked for more worker threads than the
+    /// The concurrent engine was asked for more workers than the
     /// platform has CPUs (each worker drives one CPU).
     NotEnoughCpus {
         /// Workers requested.
@@ -67,8 +67,8 @@ pub enum SeaError {
         /// The capability the policy required.
         capability: &'static str,
     },
-    /// The engine's own machinery failed (a worker thread panicked, a
-    /// result slot was left unfilled, an internal invariant broke).
+    /// The engine's own machinery failed (a result slot was left
+    /// unfilled, an internal invariant broke).
     /// Surfaced as an error so a batch driver can report and continue
     /// instead of aborting the process.
     EngineFault(&'static str),
@@ -190,7 +190,7 @@ mod tests {
                 architecture: "skinit",
                 capability: "durable batches",
             },
-            SeaError::EngineFault("worker thread panicked"),
+            SeaError::EngineFault("job result slot left unfilled"),
             SeaError::JournalCorrupt("bad magic"),
         ] {
             assert!(!e.to_string().is_empty());

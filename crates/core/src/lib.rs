@@ -77,14 +77,10 @@ mod protocol;
 mod recovery;
 mod report;
 mod secb;
-mod threadpool;
 pub mod vm;
 
 pub use attest::{TrustPolicy, Verifier, VerifyError};
-pub use concurrent::{
-    ConcurrentJob, ConcurrentOutcome, ConcurrentSea, DurableOutcome, JobResult, RecoveredOutcome,
-    SessionResult,
-};
+pub use concurrent::{ConcurrentJob, JobResult, SessionResult};
 pub use engine::{
     Architecture, BatchOutcome, BatchPolicy, Executor, Session, SessionEngine, SessionTally,
     Skinit, Slaunch, Stepped, JOURNAL_NV_INDEX,

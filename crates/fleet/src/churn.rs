@@ -6,8 +6,8 @@
 //! are in flight, and the request stream carries adversarial wires. A
 //! [`ChurnPlan`] decides all of it *deterministically*: every decision
 //! is a pure function of `(plan seed, decision site, platform or
-//! request id)` — never of shard layout, executor backend, worker
-//! count, or submission order — so a churned
+//! request id)` — never of shard layout, worker count, or submission
+//! order — so a churned
 //! [`FleetOutcome`](crate::FleetOutcome) is byte-identical across every execution
 //! shape, exactly like the platform-level `FaultPlan` and `ResetPlan`
 //! it extends upward.

@@ -12,7 +12,7 @@
 //! 2. **Execute**: shard *s* runs the platforms with `p % shards == s`,
 //!    one OS thread per shard. Within a platform, the engine's static
 //!    job→CPU assignment and virtual-time accounting make completion
-//!    times independent of the executor backend and host scheduling.
+//!    times independent of host scheduling.
 //! 3. **Verify**: completions merge through an [`EventQueue`] keyed by
 //!    `(event time, id)` — the fleet-level routing point — and drain
 //!    through a *request lifecycle* loop: each request's wire crosses a
@@ -28,8 +28,8 @@
 //! staged TCB pushes, and adversarial wires — comes from a seeded
 //! [`ChurnPlan`]; every decision is a pure function of the plan and a
 //! platform or request id. Because every phase is deterministic,
-//! [`FleetOutcome`] is byte-identical across shard counts, dispatch
-//! submission orders, and executor backends — which
+//! [`FleetOutcome`] is byte-identical across shard counts and dispatch
+//! submission orders — which
 //! `tests/verifier_differential.rs` pins for a 1000-platform fleet and
 //! for churned sweeps.
 //!
@@ -39,8 +39,8 @@
 //! even if the verifier's queue pushes the verdict past it.
 
 use sea_core::{
-    BatchPolicy, ConcurrentJob, Executor, FnPal, PalLogic, PalOutcome, SecurePlatform,
-    SessionEngine, SessionResult, Slaunch,
+    BatchPolicy, ConcurrentJob, FnPal, PalLogic, PalOutcome, SecurePlatform, SessionEngine,
+    SessionResult, Slaunch,
 };
 use sea_hw::{EventQueue, FaultPlan, Obs, Platform, SimDuration, SimTime};
 use sea_os::{DispatchPolicy, Dispatcher};
@@ -95,8 +95,6 @@ pub struct FleetConfig {
     pub shards: usize,
     /// How requests map to platforms.
     pub policy: DispatchPolicy,
-    /// Engine executor backend for every platform.
-    pub executor: Executor,
     /// Version of the TCB table the verifier is provisioned with.
     pub tcb_version: u32,
     /// Client-side retry/timeout/backoff policy.
@@ -112,9 +110,9 @@ pub struct FleetConfig {
 
 impl FleetConfig {
     /// A fleet of `platforms` handling `requests`, single-sharded,
-    /// round-robin dispatched, on the discrete-event backend, with the
-    /// calm churn plan and the plain (single-shot) client policy — a
-    /// default run is byte-identical to the pre-lifecycle pipeline.
+    /// round-robin dispatched, with the calm churn plan and the plain
+    /// (single-shot) client policy — a default run is byte-identical to
+    /// the pre-lifecycle pipeline.
     pub fn new(platforms: usize, requests: usize) -> Self {
         assert!(platforms > 0, "a fleet needs at least one platform");
         FleetConfig {
@@ -123,7 +121,6 @@ impl FleetConfig {
             requests,
             shards: 1,
             policy: DispatchPolicy::RoundRobin,
-            executor: Executor::DiscreteEvent,
             tcb_version: 1,
             lifecycle: FleetPolicy::plain(),
             churn: ChurnPlan::calm(),
@@ -142,12 +139,6 @@ impl FleetConfig {
     /// Overrides the dispatch policy (builder-style).
     pub fn with_policy(mut self, policy: DispatchPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Overrides the executor backend (builder-style).
-    pub fn with_executor(mut self, executor: Executor) -> Self {
-        self.executor = executor;
         self
     }
 
@@ -318,7 +309,7 @@ fn run_platform(
         })
         .collect();
     let out = engine
-        .run(jobs, &BatchPolicy::plain().with_executor(cfg.executor))
+        .run(jobs, &BatchPolicy::plain())
         .expect("plain fleet batch runs");
 
     let mut cpu_busy = vec![SimDuration::ZERO; workers];

@@ -37,8 +37,8 @@
 //!   verifier as a single queueing server in virtual time driving each
 //!   request's lifecycle to a typed fate. The whole pipeline is a pure
 //!   function of its configuration: [`FleetOutcome`] is byte-identical
-//!   across shard counts, dispatch orders, submission permutations,
-//!   and executor backends — with or without churn.
+//!   across shard counts, dispatch orders and submission permutations
+//!   — with or without churn.
 //!
 //! # Example
 //!

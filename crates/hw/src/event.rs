@@ -1,12 +1,11 @@
 //! Deterministic discrete-event queue for virtual-time execution.
 //!
-//! The thread-pool engine orders concurrent work by lock acquisition:
-//! whichever OS thread wins the TPM lock or the journal commit gate
-//! goes first, and determinism is *enforced* by folding every
-//! worker-visible quantity back into interleaving-invariant form. A
-//! discrete-event executor inverts that: there are no OS threads, only
-//! events on a virtual timeline, and ordering is *structural* — events
-//! fire in `(time, id)` order, period.
+//! Concurrent work ordered by lock acquisition goes in whichever order
+//! OS threads win the locks, and determinism must then be *enforced* by
+//! folding every worker-visible quantity back into
+//! interleaving-invariant form. A discrete-event executor has no racing
+//! threads, only events on a virtual timeline, and ordering is
+//! *structural* — events fire in `(time, id)` order, period.
 //!
 //! [`EventQueue`] is the one source of that ordering. The tie-break
 //! contract (documented in DESIGN.md and pinned by the property suite):

@@ -7,7 +7,7 @@
 //! seeded-tape discipline as [`FaultPlan`](crate::FaultPlan): every
 //! decision is a pure function of `(plan seed, injection site, request
 //! key, attempt sequence)`, so a churned sweep replays byte-identically
-//! on one shard or sixteen, under either executor, in any submission
+//! on one shard or sixteen, at any worker count, in any submission
 //! order.
 //!
 //! The plan does not move bytes itself — it answers, for one

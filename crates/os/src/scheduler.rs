@@ -16,8 +16,8 @@
 //! CPU time available under each.
 
 use sea_core::{
-    BatchPolicy, ConcurrentJob, EnhancedSea, Executor, LegacySea, PalId, PalLogic, PalStep,
-    RetryPolicy, SecurePlatform, SessionEngine, SessionReport, SessionResult,
+    BatchPolicy, ConcurrentJob, EnhancedSea, LegacySea, PalId, PalLogic, PalStep, RetryPolicy,
+    SecurePlatform, SessionEngine, SessionReport, SessionResult,
 };
 use sea_hw::{CpuId, FaultPlan, ResetPlan, SimDuration, SimTime};
 
@@ -393,9 +393,9 @@ fn unpack_sessions(
 }
 
 /// The OS feeding the multi-core concurrent session engine: queued jobs
-/// are dispatched to a [`SessionEngine`]'s worker pool (real threads,
-/// one per simulated CPU) instead of being stepped round-robin on the
-/// caller's thread.
+/// are dispatched to a [`SessionEngine`]'s workers (virtual CPUs, one
+/// per simulated CPU, stepped by the discrete-event executor) instead
+/// of being stepped round-robin by the cooperative scheduler.
 ///
 /// Reports the same [`ScheduleOutcome`] as [`Scheduler`], so the
 /// concurrency experiments can swap drivers without changing their
@@ -420,7 +420,7 @@ impl std::fmt::Debug for ParallelScheduler {
 }
 
 impl ParallelScheduler {
-    /// Builds a pool of `workers` threads over `platform`.
+    /// Builds a pool of `workers` virtual CPUs over `platform`.
     ///
     /// # Errors
     ///
@@ -448,20 +448,6 @@ impl ParallelScheduler {
         self.retry_policy = policy;
     }
 
-    /// Selects the execution backend for the pool: real OS threads
-    /// (the default) or the deterministic discrete-event executor,
-    /// which steps the same sessions as virtual CPUs on one thread —
-    /// letting the scheduler model platforms far wider than the host.
-    pub fn set_executor(&mut self, executor: Executor) {
-        self.pool.set_executor(executor);
-    }
-
-    /// The pool's currently selected execution backend.
-    #[must_use]
-    pub fn executor(&self) -> Executor {
-        self.pool.executor()
-    }
-
     /// Installs (or clears) a platform reset plan. With a plan set,
     /// [`Self::run_all`] drives the batch through the crash-consistent
     /// engine: every terminal session commits to the journaled NVRAM
@@ -473,13 +459,13 @@ impl ParallelScheduler {
     }
 
     /// Queues a PAL job. Unlike [`Scheduler::add_job`] the logic must be
-    /// [`Send`]: it will execute on a worker thread.
+    /// [`Send`]: the engine's job type requires it.
     pub fn add_job(&mut self, logic: Box<dyn PalLogic + Send>, input: &[u8]) {
         self.pool.obs().add("os.enqueued", 1);
         self.jobs.push(ConcurrentJob::new(logic, input.to_vec()));
     }
 
-    /// Worker threads in the pool.
+    /// Workers (virtual CPUs) in the pool.
     pub fn workers(&self) -> usize {
         self.pool.workers()
     }
@@ -759,7 +745,7 @@ mod tests {
         let out = s.run_all(SimDuration::from_secs(1)).unwrap();
         assert_eq!(out.outputs, vec![vec![0], vec![1], vec![2], vec![3]]);
         // Four jobs (~100 ms work + ~262 ms attestation each) on four
-        // worker threads overlap in virtual time: wall ≈ one job, the
+        // workers overlap in virtual time: wall ≈ one job, the
         // aggregate is ~4×.
         assert!(out.wall < SimDuration::from_ms(400), "wall {}", out.wall);
         assert!(

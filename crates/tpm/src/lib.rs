@@ -63,7 +63,7 @@ mod transport;
 
 pub use boot::{BootEvent, EventLog, SecureBootOutcome, SecureBootPolicy};
 pub use error::TpmError;
-pub use lock::{EventOrderedTpmLock, SharedTpmLock, TpmLock};
+pub use lock::{EventOrderedTpmLock, TpmLock};
 pub use nvram::Nvram;
 pub use pcr::{PcrBank, PcrIndex, PcrValue, DYNAMIC_PCR_FIRST, DYNAMIC_PCR_LAST, NUM_PCRS};
 pub use quote::{Quote, QuoteSource, WireQuote, WIRE_QUOTE_MAGIC, WIRE_QUOTE_VERSION};

@@ -5,8 +5,6 @@
 //! hardware mechanism to arbitrate TPM access from PALs executing on
 //! multiple CPUs. A simple arbitration mechanism is hardware locking."
 
-use std::sync::atomic::{AtomicU32, Ordering};
-
 use sea_hw::{CpuId, SimTime};
 
 use crate::error::TpmError;
@@ -77,101 +75,13 @@ impl TpmLock {
     }
 }
 
-/// Sentinel for "no holder" in [`SharedTpmLock`]'s packed word.
-const UNHELD: u32 = u32::MAX;
-
-/// The hardware TPM lock as real CPUs would race for it: a single
-/// atomic word, safe to share across the concurrent session engine's
-/// worker threads.
-///
-/// Semantics match [`TpmLock`] exactly — exclusive, reentrant for the
-/// holder, releasable only by the holder — but acquisition is a
-/// compare-and-swap, so two threads contending for the TPM resolve the
-/// race in hardware rather than by data-race UB.
-///
-/// # Example
-///
-/// ```
-/// use sea_tpm::SharedTpmLock;
-/// use sea_hw::CpuId;
-///
-/// let lock = SharedTpmLock::new();
-/// lock.acquire(CpuId(0)).unwrap();
-/// assert!(lock.acquire(CpuId(1)).is_err()); // other CPUs must wait
-/// lock.release(CpuId(0)).unwrap();
-/// assert!(lock.acquire(CpuId(1)).is_ok());
-/// ```
-#[derive(Debug, Default)]
-pub struct SharedTpmLock {
-    /// The holding CPU's id, or [`UNHELD`].
-    holder: AtomicU32,
-}
-
-impl SharedTpmLock {
-    /// Creates an unheld lock.
-    pub fn new() -> Self {
-        SharedTpmLock {
-            holder: AtomicU32::new(UNHELD),
-        }
-    }
-
-    /// The CPU currently holding the lock, if any.
-    pub fn holder(&self) -> Option<CpuId> {
-        match self.holder.load(Ordering::SeqCst) {
-            UNHELD => None,
-            cpu => Some(CpuId(cpu as u16)),
-        }
-    }
-
-    /// Attempts to take the lock for `cpu` with one compare-and-swap.
-    /// Re-acquisition by the current holder is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// [`TpmError::LockHeld`] if another CPU holds the lock.
-    pub fn acquire(&self, cpu: CpuId) -> Result<(), TpmError> {
-        let me = cpu.0 as u32;
-        match self
-            .holder
-            .compare_exchange(UNHELD, me, Ordering::SeqCst, Ordering::SeqCst)
-        {
-            Ok(_) => Ok(()),
-            Err(current) if current == me => Ok(()),
-            Err(current) => Err(TpmError::LockHeld {
-                holder: CpuId(current as u16),
-            }),
-        }
-    }
-
-    /// Releases the lock.
-    ///
-    /// # Errors
-    ///
-    /// [`TpmError::LockHeld`] if `cpu` is not the holder.
-    pub fn release(&self, cpu: CpuId) -> Result<(), TpmError> {
-        let me = cpu.0 as u32;
-        match self
-            .holder
-            .compare_exchange(me, UNHELD, Ordering::SeqCst, Ordering::SeqCst)
-        {
-            Ok(_) => Ok(()),
-            Err(UNHELD) => Ok(()),
-            Err(current) => Err(TpmError::LockHeld {
-                holder: CpuId(current as u16),
-            }),
-        }
-    }
-}
-
 /// The hardware TPM lock as a *virtual-time* resource: CPUs file
 /// requests stamped with the virtual instant they reached the TPM, and
 /// the arbiter grants in deterministic `(time, cpu)` order.
 ///
-/// [`SharedTpmLock`] resolves contention by whichever OS thread's
-/// compare-and-swap lands first — correct, but host-scheduling-
-/// dependent. A discrete-event executor has no racing threads, so the
-/// grant order can instead be a pure function of the event timeline:
-/// earliest requester wins, ties broken by the lower CPU id. This is
+/// A discrete-event executor has no racing threads, so the grant
+/// order can be a pure function of the event timeline: earliest
+/// requester wins, ties broken by the lower CPU id. This is
 /// the same policy the paper's hardware arbiter could implement with a
 /// fixed-priority daisy chain, and it makes TPM serialization
 /// replayable.
@@ -300,25 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_lock_matches_serial_semantics() {
-        let lock = SharedTpmLock::new();
-        assert_eq!(lock.holder(), None);
-        lock.acquire(CpuId(0)).unwrap();
-        assert_eq!(lock.holder(), Some(CpuId(0)));
-        // Reentrant for the holder, exclusive against everyone else.
-        assert!(lock.acquire(CpuId(0)).is_ok());
-        assert_eq!(
-            lock.acquire(CpuId(1)),
-            Err(TpmError::LockHeld { holder: CpuId(0) })
-        );
-        // Only the holder releases; releasing unheld is harmless.
-        assert!(lock.release(CpuId(1)).is_err());
-        lock.release(CpuId(0)).unwrap();
-        assert!(lock.release(CpuId(0)).is_ok());
-        assert!(lock.acquire(CpuId(1)).is_ok());
-    }
-
-    #[test]
     fn event_ordered_grants_resolve_time_then_cpu() {
         let mut arb = EventOrderedTpmLock::new();
         arb.request(SimTime::from_ns(50), CpuId(0));
@@ -355,31 +246,5 @@ mod tests {
         arb.release(CpuId(1)).unwrap();
         assert!(arb.release(CpuId(1)).is_ok()); // releasing unheld is harmless
         assert_eq!(arb.grant(), Some(CpuId(2)));
-    }
-
-    #[test]
-    fn shared_lock_admits_exactly_one_winner_under_contention() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        let lock = Arc::new(SharedTpmLock::new());
-        let wins = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..16u16)
-            .map(|cpu| {
-                let lock = Arc::clone(&lock);
-                let wins = Arc::clone(&wins);
-                std::thread::spawn(move || {
-                    if lock.acquire(CpuId(cpu)).is_ok() {
-                        wins.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(wins.load(Ordering::SeqCst), 1);
-        let holder = lock.holder().expect("someone won");
-        lock.release(holder).unwrap();
     }
 }

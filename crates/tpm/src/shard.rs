@@ -20,9 +20,6 @@
 //!   reorder a single grant; each grant also reports the original request
 //!   stamp, which is what lets the executor charge *lock wait* separately
 //!   from *hold* time.
-//!
-//! [`crate::SharedTpmLock`] remains the arbiter for global commands; the
-//! shards only cover the per-session paths.
 
 use sea_crypto::Sha1Digest;
 use sea_hw::{CpuId, SimTime};

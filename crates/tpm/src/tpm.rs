@@ -628,9 +628,6 @@ impl Tpm {
     /// *untrusted* code, which received the handle as PAL output (§5.4.3).
     ///
     /// Returns the canonical serialized wire format; see [`Tpm::quote`].
-    /// This is also the form the discrete-event executor's ordered TPM
-    /// lock path hands back, so DES-scheduled quotes cross the same
-    /// byte boundary as thread-pool ones.
     ///
     /// # Errors
     ///

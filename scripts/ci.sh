@@ -24,8 +24,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 echo "== cargo test (offline) =="
 cargo test -q --workspace --offline
 
-echo "== cargo test under the discrete-event executor (offline) =="
-SEA_EXECUTOR=des cargo test -q --workspace --offline
+echo "== perfbench self-test (release, offline) =="
+# The benchmark is a separate workspace that drives the crates' public
+# API; building and self-testing it here catches an API change that
+# would break it.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== quickstart example (offline) =="
 cargo run -q --release --offline -p minimal-tcb --example quickstart
@@ -35,28 +38,6 @@ echo "== unified-engine guardrails =="
 # lint is load-bearing: rustdoc warnings above only catch broken links).
 grep -q '^#!\[deny(missing_docs)\]' crates/core/src/lib.rs \
   || { echo "ci.sh: crates/core/src/lib.rs must keep #![deny(missing_docs)]" >&2; exit 1; }
-# The retired batch entry points may be *called* only by their shim and
-# the equivalence suite that pins the shim to SessionEngine::run.
-strays=$(grep -rn '\.run_batch_recovered(\|\.run_batch_durable(' crates tests examples \
-  --include='*.rs' \
-  | grep -v 'crates/core/src/concurrent.rs' \
-  | grep -v 'tests/engine_equivalence.rs' \
-  | grep -v 'tests/engine.rs' || true)
-if [ -n "$strays" ]; then
-  echo "ci.sh: deprecated batch entry points called outside the shim/equivalence suite:" >&2
-  echo "$strays" >&2
-  exit 1
-fi
-# The thread-pool executor module is the only place in sea-core allowed
-# to spawn OS threads; everything else must go through an Executor.
-threads=$(grep -rn 'thread::spawn\|thread::scope' crates/core/src \
-  --include='*.rs' \
-  | grep -v 'crates/core/src/threadpool.rs' || true)
-if [ -n "$threads" ]; then
-  echo "ci.sh: OS threads spawned in sea-core outside src/threadpool.rs:" >&2
-  echo "$threads" >&2
-  exit 1
-fi
 # The engine lock decomposition is rank-checked: every shared-state
 # lock in sea-core must be an OrderedLock from the lock-hierarchy
 # module, so a raw std Mutex anywhere else would dodge the debug-build
@@ -84,8 +65,8 @@ if [ -n "$leaks" ]; then
 fi
 # Everything the fleet decides — churn, retries, adversarial schedules —
 # must derive from explicit seeds: any ambient entropy or wall-clock
-# read would break the byte-identity contract across shards, executors,
-# and submission orders.
+# read would break the byte-identity contract across shards, worker
+# counts, and submission orders.
 entropy=$(grep -rn 'thread_rng\|rand::\|SystemTime\|Instant::now\|RandomState' \
   crates/fleet/src --include='*.rs' || true)
 if [ -n "$entropy" ]; then
@@ -125,16 +106,16 @@ SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin scale
 
 echo "== fleet bench: sharded attestation fleet + remote verifier (smoke mode, offline) =="
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin fleet
-# The same fleet must produce byte-identical outcomes under both
-# executors (the debug test binary is already built by the test phases).
+# Per-platform worker count must not change any request's wire or
+# verdict (the debug test binary is already built by the test phase).
 cargo test -q -p minimal-tcb --offline --test verifier_differential \
   fleet_outcome_is_executor_invariant
 
 echo "== churn bench: fleet under faults, rotation, and adversaries (smoke mode, offline) =="
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin churn
-# Churned outcomes must stay byte-identical across shard counts,
-# executors, and submission permutations, and every adversarial wire
-# must be rejected with a typed reason.
+# Churned outcomes must stay byte-identical across shard counts and
+# submission permutations, and every adversarial wire must be rejected
+# with a typed reason.
 cargo test -q -p minimal-tcb --offline --test verifier_differential \
   churned_fleet_is_byte_identical_across_shards_executors_and_orders
 cargo test -q -p minimal-tcb --offline --test verifier_differential \
@@ -142,12 +123,11 @@ cargo test -q -p minimal-tcb --offline --test verifier_differential \
 
 echo "== vm bench: measured bytecode PALs, chained vs lookup dispatch (offline) =="
 # The artifact itself asserts chained and lookup runs produce identical
-# outputs and retire identical instruction counts, and that the quote
-# set is byte-identical across 1/4-worker thread pools and the
-# discrete-event executor.
+# outputs and retire identical instruction counts, and reports whether
+# the quote set is byte-identical at 1 and 4 workers.
 cargo run -q --release -p sea-bench --offline --bin vm > /dev/null
 # The executed-bytecode PALs must stay behaviourally pinned to their
-# cost-model twins (the debug test binary is built by the test phases).
+# cost-model twins (the debug test binary is built by the test phase).
 cargo test -q -p minimal-tcb --offline --test vm_differential
 # And sea-pals must stand alone without the twins: the VM programs are
 # the product, the cost-model feature is optional.

@@ -1,35 +1,32 @@
-//! Differential oracle between the two execution backends.
+//! Worker-count differential suite for the discrete-event executor.
 //!
-//! `SessionEngine` runs every batch path on either real OS threads
-//! ([`Executor::ThreadPool`]) or virtual CPUs stepped by a
-//! deterministic event queue ([`Executor::DiscreteEvent`]). The
-//! engine's determinism contract says the backends are
-//! interchangeable: per-job costs are intrinsic, fault rolls are a pure
-//! function of `(plan, session key, operation order)`, quotes bind
-//! sePCR values rather than slots, and per-CPU busy time folds through
-//! the same atomic-max timeline. This suite replays each existing
-//! integration scenario — fault chaos, crash-point cuts, observability
-//! snapshots — on both backends and asserts the outputs are
-//! **byte-identical**:
+//! `SessionEngine` steps every batch on virtual CPUs driven by a
+//! deterministic event queue. With one worker that timeline is the
+//! serial schedule, so the one-worker run is the reference every wider
+//! run is compared against. The engine's determinism contract says
+//! the worker count is pure scheduling: per-job costs are intrinsic,
+//! fault rolls are a pure function of `(plan, session key, operation
+//! order)`, and quotes bind sePCR values rather than slots. This suite
+//! replays fault chaos, crash-point cuts and observability snapshots
+//! at 1, 4 and 64 workers and asserts the outputs are
+//! **byte-identical** to the serial reference:
 //!
-//! * at equal worker counts (1, 4, and 64), the entire
-//!   [`BatchOutcome`] for plain and fault-recovered batches, and the
-//!   per-session results for durable batches (the committed/relaunched
-//!   split of a mid-batch crash is the one thing host interleaving may
-//!   legitimately move on the thread pool);
-//! * serially, the **machine trace** too — with one CPU the event
-//!   timeline degenerates to the serial schedule, so the discrete-event
-//!   backend must reproduce the thread pool's trace byte for byte;
-//! * recording-sink snapshots (spans, counters, histograms) across
-//!   backends *and* worker counts;
+//! * the per-session results (outputs, reports, quotes, retry counts,
+//!   terminal variants) for plain, fault-recovered and durable batches,
+//!   with only the CPU a job ran on normalised away;
+//! * recording-sink snapshots (spans, counters, histograms);
+//! * the serial machine trace, which does not depend on how wide the
+//!   platform under the one worker is;
 //! * the acceptance scenario: a durable batch on 1024 virtual CPUs in
-//!   one process, quotes byte-identical to the 4-worker thread-pool
-//!   run, with the discrete-event schedule reproducible run to run
-//!   down to the trace.
+//!   one process, quotes byte-identical to the serial run, with the
+//!   whole schedule reproducible run to run down to the trace.
+//!
+//! Several test names predate the single executor ("across executors");
+//! each now pins the worker-count invariance its doc comment states.
 
 use sea_core::{
-    BatchOutcome, BatchPolicy, ConcurrentJob, Executor, FnPal, PalOutcome, RetryPolicy,
-    SecurePlatform, SessionEngine, SessionResult, Slaunch,
+    BatchOutcome, BatchPolicy, ConcurrentJob, FnPal, PalOutcome, RetryPolicy, SecurePlatform,
+    SessionEngine, SessionResult, Slaunch,
 };
 use sea_hw::{CpuId, FaultPlan, Obs, ObsSnapshot, Platform, ResetPlan, SimDuration, RATE_DENOM};
 use sea_tpm::KeyStrength;
@@ -37,20 +34,17 @@ use sea_tpm::KeyStrength;
 const JOBS: usize = 16;
 const DIFF_SEED: u64 = 0xD1FF;
 
-/// Worker counts the differential sweeps cover. 64 exceeds most hosts'
-/// core counts — the thread pool still runs it (threads just share
-/// cores), which is exactly the regime the event queue replaces.
-const WORKER_COUNTS: [usize; 3] = [1, 4, 64];
+/// Worker counts compared against the one-worker serial reference. 64
+/// exceeds most hosts' core counts; the event queue does not care.
+const WIDE_WORKER_COUNTS: [usize; 2] = [4, 64];
 
-fn engine(n_cpus: u16, workers: usize, executor: Executor) -> SessionEngine<Slaunch> {
+fn engine(n_cpus: u16, workers: usize) -> SessionEngine<Slaunch> {
     let platform = SecurePlatform::new(
         Platform::recommended(n_cpus),
         KeyStrength::Demo512,
         b"exec-diff",
     );
-    let mut pool = SessionEngine::new(platform, workers).expect("pool fits platform");
-    pool.set_executor(executor);
-    pool
+    SessionEngine::new(platform, workers).expect("pool fits platform")
 }
 
 /// The chaos-style plan: hot transient faults plus a fatal fraction,
@@ -100,11 +94,10 @@ fn batch() -> Vec<ConcurrentJob> {
 fn run(
     n_cpus: u16,
     workers: usize,
-    executor: Executor,
     faults: Option<FaultPlan>,
     policy: &BatchPolicy,
 ) -> (BatchOutcome, String) {
-    let mut pool = engine(n_cpus, workers, executor);
+    let mut pool = engine(n_cpus, workers);
     pool.set_fault_plan(faults);
     let out = pool.run(batch(), policy).expect("differential batch runs");
     let sea = pool.into_inner();
@@ -126,97 +119,79 @@ fn normalize(mut sessions: Vec<SessionResult>) -> Vec<SessionResult> {
     sessions
 }
 
-/// Fault chaos on both backends: at every worker count the entire
-/// outcome — sessions (same static CPU assignment), per-CPU busy time,
-/// wall clock, tallies — is byte-identical.
+/// Runs `policy` at one worker and at every wide worker count on a
+/// 64-CPU platform, asserting each wide run's sessions equal the
+/// serial reference. Returns the reference outcome.
+fn assert_worker_count_invariant(
+    faults: fn() -> Option<FaultPlan>,
+    policy: &BatchPolicy,
+    what: &str,
+) -> BatchOutcome {
+    let (serial, _) = run(64, 1, faults(), policy);
+    for workers in WIDE_WORKER_COUNTS {
+        let (wide, _) = run(64, workers, faults(), policy);
+        assert_eq!(wide.cpu_busy.len(), workers);
+        assert_eq!(
+            normalize(serial.sessions.clone()),
+            normalize(wide.sessions),
+            "{what}: sessions at {workers} workers diverged from the serial run"
+        );
+    }
+    serial
+}
+
+/// Fault chaos: at every worker count the sessions — outputs, reports,
+/// quotes, retry counts, kills — are byte-identical to the serial run.
 #[test]
 fn chaos_batch_agrees_across_executors_at_every_worker_count() {
     let policy = BatchPolicy::plain().with_retry(RetryPolicy::default());
-    for workers in WORKER_COUNTS {
-        let (threads, _) = run(
-            64,
-            workers,
-            Executor::ThreadPool,
-            Some(chaos_plan()),
-            &policy,
-        );
-        let (des, _) = run(
-            64,
-            workers,
-            Executor::DiscreteEvent,
-            Some(chaos_plan()),
-            &policy,
-        );
-        assert!(
-            threads
-                .sessions
-                .iter()
-                .any(|s| matches!(s, SessionResult::Quoted { retries, .. } if *retries > 0)),
-            "chaos plan never bit at {workers} workers"
-        );
-        assert_eq!(
-            threads, des,
-            "chaos outcome diverged across executors at {workers} workers"
-        );
-    }
+    let serial = assert_worker_count_invariant(|| Some(chaos_plan()), &policy, "chaos");
+    assert!(
+        serial
+            .sessions
+            .iter()
+            .any(|s| matches!(s, SessionResult::Quoted { retries, .. } if *retries > 0)),
+        "chaos plan never bit"
+    );
+    assert!(serial.killed() > 0, "fatal fraction never killed a session");
 }
 
 /// Plain fault-free batches agree the same way.
 #[test]
 fn plain_batch_agrees_across_executors_at_every_worker_count() {
-    for workers in WORKER_COUNTS {
-        let (threads, _) = run(
-            64,
-            workers,
-            Executor::ThreadPool,
-            None,
-            &BatchPolicy::plain(),
-        );
-        let (des, _) = run(
-            64,
-            workers,
-            Executor::DiscreteEvent,
-            None,
-            &BatchPolicy::plain(),
-        );
-        assert_eq!(
-            threads, des,
-            "plain outcome diverged across executors at {workers} workers"
-        );
-    }
+    let serial = assert_worker_count_invariant(|| None, &BatchPolicy::plain(), "plain");
+    assert_eq!(serial.quoted(), JOBS);
 }
 
-/// Serially the timelines coincide exactly: the one-worker machine
+/// The serial schedule depends on the batch alone: one worker's machine
 /// trace — every TPM command, range protection, secure enter/leave,
-/// with timestamps — is byte-identical across backends.
+/// with timestamps — is byte-identical on a 4-CPU and a 64-CPU
+/// platform, and run to run.
 #[test]
 fn serial_machine_trace_is_byte_identical_across_executors() {
     let policy = BatchPolicy::plain().with_retry(RetryPolicy::default());
-    let (_, thread_trace) = run(4, 1, Executor::ThreadPool, Some(chaos_plan()), &policy);
-    let (_, des_trace) = run(4, 1, Executor::DiscreteEvent, Some(chaos_plan()), &policy);
-    assert!(!thread_trace.is_empty(), "serial batch must leave a trace");
+    let (narrow, narrow_trace) = run(4, 1, Some(chaos_plan()), &policy);
+    let (wide, wide_trace) = run(64, 1, Some(chaos_plan()), &policy);
+    let (_, again_trace) = run(4, 1, Some(chaos_plan()), &policy);
+    assert!(!narrow_trace.is_empty(), "serial batch must leave a trace");
+    assert_eq!(narrow.sessions, wide.sessions);
     assert_eq!(
-        thread_trace, des_trace,
-        "serial machine trace diverged across executors"
+        narrow_trace, wide_trace,
+        "serial machine trace depends on the platform's width"
     );
+    assert_eq!(narrow_trace, again_trace, "serial trace not reproducible");
 }
 
 /// Crash-point cuts: yank the cord after a fixed number of trace
-/// events under both backends. Serially the whole outcome and trace
-/// must coincide; at higher worker counts the per-session results must
-/// (which sessions had committed when the plug was pulled is the one
-/// interleaving-dependent quantity on the thread pool).
+/// events. Serially the recovered sessions must equal the crash-free
+/// run's; at 4 and 64 workers they must equal the serial cut's, and the
+/// whole ledger must reproduce run to run.
 #[test]
 fn crash_point_cuts_agree_across_executors() {
-    // Total event count of the crash-free run bounds the cut range.
+    // The crash-free serial run: its sessions are what every cut must
+    // recover to, and its event count bounds the cut range.
     let recovering = BatchPolicy::plain().with_retry(RetryPolicy::default());
-    let (_, reference_trace) = run(
-        4,
-        1,
-        Executor::ThreadPool,
-        Some(transient_plan()),
-        &recovering,
-    );
+    let (reference, reference_trace) = run(4, 1, Some(transient_plan()), &recovering);
     let total = reference_trace.lines().count() as u64;
     assert!(total > 8, "reference run too quiet to cut against");
 
@@ -224,39 +199,23 @@ fn crash_point_cuts_agree_across_executors() {
         let durable = BatchPolicy::plain()
             .with_retry(RetryPolicy::default())
             .with_durability(ResetPlan::reset_free().with_cut_after_events(cut));
-        let (t1, t1_trace) = run(4, 1, Executor::ThreadPool, Some(transient_plan()), &durable);
-        let (d1, d1_trace) = run(
-            4,
-            1,
-            Executor::DiscreteEvent,
-            Some(transient_plan()),
-            &durable,
+        let (serial, _) = run(4, 1, Some(transient_plan()), &durable);
+        assert_eq!(serial.resets, 1, "serial cut {cut}: no reset fired");
+        assert_eq!(
+            serial.sessions, reference.sessions,
+            "serial cut {cut}: recovery diverged from the crash-free run"
         );
-        assert_eq!(t1, d1, "serial cut {cut}: outcome diverged");
-        assert_eq!(t1_trace, d1_trace, "serial cut {cut}: trace diverged");
 
-        for workers in [4, 64] {
-            let (tw, _) = run(
-                64,
-                workers,
-                Executor::ThreadPool,
-                Some(transient_plan()),
-                &durable,
-            );
-            let (dw, _) = run(
-                64,
-                workers,
-                Executor::DiscreteEvent,
-                Some(transient_plan()),
-                &durable,
+        for workers in WIDE_WORKER_COUNTS {
+            let (wide, _) = run(64, workers, Some(transient_plan()), &durable);
+            let (again, _) = run(64, workers, Some(transient_plan()), &durable);
+            assert_eq!(
+                wide, again,
+                "cut {cut} at {workers} workers: not reproducible"
             );
             assert_eq!(
-                tw.sessions, dw.sessions,
-                "cut {cut} at {workers} workers: sessions diverged"
-            );
-            assert_eq!(
-                normalize(t1.sessions.clone()),
-                normalize(tw.sessions),
+                normalize(serial.sessions.clone()),
+                normalize(wide.sessions),
                 "cut {cut}: worker count leaked into session results"
             );
         }
@@ -264,17 +223,15 @@ fn crash_point_cuts_agree_across_executors() {
 }
 
 /// Observability snapshots — spans, counters, layer histograms — are
-/// byte-identical across backends and worker counts for the recovered
-/// chaos batch.
+/// byte-identical across worker counts for the recovered chaos batch.
 #[test]
 fn observability_snapshots_agree_across_executors() {
-    fn snapshot(workers: usize, executor: Executor) -> ObsSnapshot {
+    fn snapshot(workers: usize) -> ObsSnapshot {
         let mut platform =
             SecurePlatform::new(Platform::recommended(8), KeyStrength::Demo512, b"exec-diff");
         let (obs, sink) = Obs::recording();
         platform.install_obs(obs);
         let mut pool = SessionEngine::<Slaunch>::new(platform, workers).expect("pool fits");
-        pool.set_executor(executor);
         pool.set_fault_plan(Some(chaos_plan()));
         pool.run(
             batch(),
@@ -284,25 +241,23 @@ fn observability_snapshots_agree_across_executors() {
         sink.snapshot()
     }
 
-    let reference = snapshot(1, Executor::ThreadPool);
+    let reference = snapshot(1);
     assert!(
         reference.counter("core.retries") > 0,
         "chaos plan never bit"
     );
-    for workers in [1, 4, 8] {
-        for executor in [Executor::ThreadPool, Executor::DiscreteEvent] {
-            assert_eq!(
-                reference,
-                snapshot(workers, executor),
-                "snapshot diverged at {workers} workers on {executor:?}"
-            );
-        }
+    for workers in [4, 8] {
+        assert_eq!(
+            reference,
+            snapshot(workers),
+            "snapshot diverged at {workers} workers"
+        );
     }
 }
 
-/// The discrete-event schedule is reproducible run to run even where
-/// the thread pool's is not: at 64 virtual CPUs the full outcome *and*
-/// the machine trace of a faulted durable batch come back byte-identical.
+/// The discrete-event schedule is reproducible run to run: at 64
+/// virtual CPUs the full outcome *and* the machine trace of a faulted
+/// durable batch come back byte-identical.
 #[test]
 fn des_schedule_is_deterministic_at_64_virtual_cpus() {
     let durable = BatchPolicy::plain()
@@ -312,20 +267,8 @@ fn des_schedule_is_deterministic_at_64_virtual_cpus() {
                 .with_reset_rate(RATE_DENOM / 4)
                 .with_max_resets(2),
         );
-    let (a, a_trace) = run(
-        64,
-        64,
-        Executor::DiscreteEvent,
-        Some(transient_plan()),
-        &durable,
-    );
-    let (b, b_trace) = run(
-        64,
-        64,
-        Executor::DiscreteEvent,
-        Some(transient_plan()),
-        &durable,
-    );
+    let (a, a_trace) = run(64, 64, Some(transient_plan()), &durable);
+    let (b, b_trace) = run(64, 64, Some(transient_plan()), &durable);
     assert!(a.resets >= 1, "reset plan must pull the plug");
     assert_eq!(a, b, "discrete-event outcome not reproducible");
     assert_eq!(a_trace, b_trace, "discrete-event trace not reproducible");
@@ -334,9 +277,9 @@ fn des_schedule_is_deterministic_at_64_virtual_cpus() {
 /// Acceptance: one process models a 1024-virtual-CPU platform running
 /// a durable faulted batch — far past any host's core count — and
 /// every worker-count-invariant output (quotes byte for byte, outputs,
-/// reports, retry counts) matches the 4-worker thread-pool run on the
-/// same platform. The discrete-event replay itself is byte-identical
-/// run to run, ledger and trace included.
+/// reports, retry counts) matches the serial run on the same platform.
+/// The 1024-CPU replay itself is byte-identical run to run, ledger and
+/// trace included.
 #[test]
 fn acceptance_durable_batch_on_1024_virtual_cpus() {
     let durable = BatchPolicy::plain()
@@ -346,48 +289,23 @@ fn acceptance_durable_batch_on_1024_virtual_cpus() {
                 .with_reset_rate(RATE_DENOM / 4)
                 .with_max_resets(2),
         );
-    let (threads, _) = run(
-        1024,
-        4,
-        Executor::ThreadPool,
-        Some(transient_plan()),
-        &durable,
-    );
-    let (des, des_trace) = run(
-        1024,
-        1024,
-        Executor::DiscreteEvent,
-        Some(transient_plan()),
-        &durable,
-    );
-    assert_eq!(des.sessions.len(), JOBS);
-    assert_eq!(des.quoted(), threads.quoted());
+    let (serial, _) = run(1024, 1, Some(transient_plan()), &durable);
+    let (wide, wide_trace) = run(1024, 1024, Some(transient_plan()), &durable);
+    assert_eq!(wide.sessions.len(), JOBS);
+    assert_eq!(wide.quoted(), serial.quoted());
     assert_eq!(
-        normalize(threads.sessions.clone()),
-        normalize(des.sessions.clone()),
-        "1024-vCPU results diverged from the thread pool's"
+        normalize(serial.sessions.clone()),
+        normalize(wide.sessions.clone()),
+        "1024-vCPU results diverged from the serial run"
     );
-    for (i, (t, d)) in threads.sessions.iter().zip(&des.sessions).enumerate() {
-        if let (SessionResult::Quoted { quote: tq, .. }, SessionResult::Quoted { quote: dq, .. }) =
-            (t, d)
-        {
-            assert_eq!(tq, dq, "session {i}: quote bytes diverged");
-        }
-    }
     // With 16 jobs on 1024 CPUs every session runs on its own virtual
     // CPU; the assignment stays `i % workers`.
-    for (i, s) in des.sessions.iter().enumerate() {
+    for (i, s) in wide.sessions.iter().enumerate() {
         if let SessionResult::Quoted { result, .. } = s {
             assert_eq!(result.cpu, CpuId(i as u16), "session {i} on wrong vCPU");
         }
     }
-    let (again, again_trace) = run(
-        1024,
-        1024,
-        Executor::DiscreteEvent,
-        Some(transient_plan()),
-        &durable,
-    );
-    assert_eq!(des, again, "1024-vCPU ledger not reproducible");
-    assert_eq!(des_trace, again_trace, "1024-vCPU trace not reproducible");
+    let (again, again_trace) = run(1024, 1024, Some(transient_plan()), &durable);
+    assert_eq!(wide, again, "1024-vCPU ledger not reproducible");
+    assert_eq!(wide_trace, again_trace, "1024-vCPU trace not reproducible");
 }

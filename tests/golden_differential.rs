@@ -6,35 +6,32 @@
 //! (outputs, reports, quotes, retry counts, terminal variants) at one
 //! worker and at four, plus the full platform ledger (reset history,
 //! recovery latency, journal overhead, wall time, machine trace) for
-//! the serial run, where host interleaving cannot perturb it. The
-//! `plain_*` and `recovered_*` files extend the oracle to the other two
-//! batch paths — fault-free and faulted-with-retries — with ledgers at
-//! both worker counts (those paths never reset, so their ledgers are
-//! deterministic even at four workers; only the serial ledgers carry
-//! the machine trace).
+//! the serial run. The `plain_*` and `recovered_*` files extend the
+//! oracle to the other two batch paths — fault-free and
+//! faulted-with-retries — with ledgers at both worker counts (only the
+//! serial ledgers carry the machine trace).
 //!
-//! Every test replays its scenario on **both** executors — the
-//! thread-pool backend and the discrete-event backend — and asserts
-//! each reproduces the same recording **byte-identically**. Any drift
-//! in fault rolls, retry accounting, journal commit gates, quote bytes,
-//! clock folding, or event-queue scheduling shows up as a diff against
-//! the recording, not as a silent behavior change.
+//! Every test replays its scenario on the discrete-event executor at
+//! the recording's worker count (one or four) and asserts it reproduces
+//! the recording **byte-identically**. The one-worker run is the serial
+//! schedule; the four-worker recordings must agree with it wherever the
+//! worker count cannot matter. Any drift in fault rolls, retry
+//! accounting, journal commit gates, quote bytes, clock folding, or
+//! event-queue scheduling shows up as a diff against the recording, not
+//! as a silent behavior change.
 //!
 //! Set `SEA_GOLDEN_REGEN=1` to re-record (only after deliberately
 //! changing engine semantics — the diff is the review artifact).
 
 use sea_core::{
-    BatchOutcome, BatchPolicy, ConcurrentJob, Executor, FnPal, PalOutcome, RetryPolicy,
-    SecurePlatform, SessionEngine, SessionResult, Slaunch,
+    BatchOutcome, BatchPolicy, ConcurrentJob, FnPal, PalOutcome, RetryPolicy, SecurePlatform,
+    SessionEngine, SessionResult, Slaunch,
 };
 use sea_hw::{FaultPlan, Platform, ResetPlan, SimDuration, RATE_DENOM};
 use sea_tpm::KeyStrength;
 
 const JOBS: usize = 12;
 const GOLDEN_SEED: u64 = 0x601D;
-
-/// Both backends, thread pool first (the historical recording source).
-const EXECUTORS: [Executor; 2] = [Executor::ThreadPool, Executor::DiscreteEvent];
 
 fn fault_plan() -> FaultPlan {
     FaultPlan::new(GOLDEN_SEED)
@@ -102,13 +99,11 @@ impl Scenario {
     }
 }
 
-/// Runs the pinned scenario on the given backend and returns the
-/// outcome plus a dump of the machine trace (only recorded serially,
-/// where it is deterministic under both executors).
-fn run(workers: usize, executor: Executor, scenario: Scenario) -> (BatchOutcome, String) {
+/// Runs the pinned scenario and returns the outcome plus a dump of the
+/// machine trace (only the serial recordings carry it).
+fn run(workers: usize, scenario: Scenario) -> (BatchOutcome, String) {
     let platform = SecurePlatform::new(Platform::recommended(4), KeyStrength::Demo512, b"golden");
     let mut pool = SessionEngine::<Slaunch>::new(platform, workers).expect("pool fits platform");
-    pool.set_executor(executor);
     pool.set_fault_plan(scenario.faults());
     let out = pool
         .run(batch(), &scenario.policy())
@@ -133,10 +128,8 @@ fn dump_sessions(sessions: &[SessionResult]) -> String {
 }
 
 /// Platform ledger: reset history and clock folding. The machine trace
-/// rides along only in the serial recordings; at four workers the
-/// thread pool's trace order depends on host interleaving (the
-/// discrete-event backend's does not, but the recordings must hold for
-/// both).
+/// rides along only in the serial recordings, which predate the
+/// discrete-event executor's deterministic four-worker trace.
 fn dump_ledger(out: &BatchOutcome, trace: Option<&str>) -> String {
     let busy: Vec<u64> = out.cpu_busy.iter().map(|d| d.as_ns()).collect();
     let mut s = format!(
@@ -162,12 +155,9 @@ fn golden_path(name: &str) -> std::path::PathBuf {
 }
 
 /// Checks (or, under `SEA_GOLDEN_REGEN=1`, records) one golden file.
-/// Recording happens only from the thread-pool replay — the historical
-/// source of every recording; the discrete-event replay must then match
-/// the freshly-recorded bytes too.
-fn check(name: &str, executor: Executor, actual: &str) {
+fn check(name: &str, actual: &str) {
     let path = golden_path(name);
-    if std::env::var("SEA_GOLDEN_REGEN").is_ok() && executor == Executor::ThreadPool {
+    if std::env::var("SEA_GOLDEN_REGEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir tests/golden");
         std::fs::write(&path, actual).expect("write golden");
         return;
@@ -180,39 +170,38 @@ fn check(name: &str, executor: Executor, actual: &str) {
     });
     assert_eq!(
         actual, expected,
-        "{name}: {executor:?} output diverged from the recording"
+        "{name}: output diverged from the recording"
     );
 }
 
-/// One scenario at one worker count, replayed on both backends against
-/// the same recordings. `ledger_trace` records the machine trace into
-/// the ledger (serial runs only); `ledger` can be off entirely (the
-/// durable split at four workers is interleaving-dependent on the
-/// thread pool).
-fn golden_case(prefix: &str, workers: usize, scenario: Scenario, ledger: bool, trace: bool) {
-    for executor in EXECUTORS {
-        let (out, trace_dump) = run(workers, executor, scenario);
-        check(
-            &format!("{prefix}_sessions.txt"),
-            executor,
-            &dump_sessions(&out.sessions),
-        );
-        if ledger {
-            let trace = trace.then_some(trace_dump.as_str());
-            check(
-                &format!("{prefix}_ledger.txt"),
-                executor,
-                &dump_ledger(&out, trace),
-            );
-        }
+/// One scenario at one worker count, replayed against its recordings.
+/// `trace` records the machine trace into the ledger (serial runs
+/// only); `ledger` can be off entirely (no four-worker durable ledger
+/// was ever recorded). Returns the outcome for scenario-specific
+/// checks.
+fn golden_case(
+    prefix: &str,
+    workers: usize,
+    scenario: Scenario,
+    ledger: bool,
+    trace: bool,
+) -> BatchOutcome {
+    let (out, trace_dump) = run(workers, scenario);
+    check(
+        &format!("{prefix}_sessions.txt"),
+        &dump_sessions(&out.sessions),
+    );
+    if ledger {
+        let trace = trace.then_some(trace_dump.as_str());
+        check(&format!("{prefix}_ledger.txt"), &dump_ledger(&out, trace));
     }
+    out
 }
 
 #[test]
 fn golden_faulted_reset_batch_one_worker() {
-    let (out, _) = run(1, Executor::ThreadPool, Scenario::Durable);
+    let out = golden_case("durable_w1", 1, Scenario::Durable, true, true);
     assert!(out.resets >= 1, "golden plan must pull the plug");
-    golden_case("durable_w1", 1, Scenario::Durable, true, true);
 }
 
 #[test]
@@ -232,14 +221,13 @@ fn golden_plain_batch_four_workers() {
 
 #[test]
 fn golden_recovered_batch_one_worker() {
-    let (out, _) = run(1, Executor::ThreadPool, Scenario::Recovered);
+    let out = golden_case("recovered_w1", 1, Scenario::Recovered, true, true);
     assert!(
         out.sessions
             .iter()
             .any(|s| matches!(s, SessionResult::Quoted { retries, .. } if *retries > 0)),
         "golden fault tape must force at least one retry"
     );
-    golden_case("recovered_w1", 1, Scenario::Recovered, true, true);
 }
 
 #[test]

@@ -463,8 +463,8 @@ fn event_queue_equal_timestamp_events_resolve_in_tie_break_order() {
 #[test]
 fn engine_outcome_invariant_to_submission_order_on_256_virtual_cpus() {
     use minimal_tcb::core::{
-        BatchOutcome, BatchPolicy, ConcurrentJob, Executor, FnPal, PalOutcome, RetryPolicy,
-        SecurePlatform, SessionEngine, Slaunch,
+        BatchOutcome, BatchPolicy, ConcurrentJob, FnPal, PalOutcome, RetryPolicy, SecurePlatform,
+        SessionEngine, Slaunch,
     };
     use minimal_tcb::hw::{FaultPlan, Platform, ResetPlan, SimDuration, RATE_DENOM};
     use minimal_tcb::tpm::KeyStrength;
@@ -501,7 +501,6 @@ fn engine_outcome_invariant_to_submission_order_on_256_virtual_cpus() {
         );
         let mut pool =
             SessionEngine::<Slaunch>::new(platform, PERM_CPUS).expect("pool fits platform");
-        pool.set_executor(Executor::DiscreteEvent);
         pool.set_fault_plan(Some(
             FaultPlan::new(0x9E12)
                 .with_tpm_rate(8000)

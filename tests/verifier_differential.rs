@@ -19,9 +19,11 @@
 //!   flips the verdict to a rejection.
 //! * **Fleet determinism**: a 1000-platform fleet produces a
 //!   byte-identical [`sea_fleet::FleetOutcome`] at every shard count
-//!   and under both dispatch policies' own re-runs — and a *churned*
-//!   fleet (network faults, reboots, rotation, adversarial wires) stays
-//!   byte-identical across shards, executors, and submission orders.
+//!   and under both dispatch policies' own re-runs, every request's
+//!   wire and verdict are independent of the per-platform worker count,
+//!   and a *churned* fleet (network faults, reboots, rotation,
+//!   adversarial wires) stays byte-identical across shards and
+//!   submission orders.
 //! * **Boundary agreement**: the freshness-window edge (`== window`
 //!   accepted, `window + 1` stale) behaves identically on the fleet
 //!   verifier and on `sea_core::AttestationService`; the session-ticket
@@ -31,8 +33,8 @@
 
 use sea_bench::driver::{run_suite_serial, suite_json, validate_suite_json, SuiteConfig};
 use sea_core::{
-    AttestationService, BatchPolicy, ConcurrentJob, Executor, FnPal, PalOutcome, ProtocolError,
-    RetryPolicy, SecurePlatform, SessionEngine, SessionResult, Slaunch, TrustPolicy, Verifier,
+    AttestationService, BatchPolicy, ConcurrentJob, FnPal, PalOutcome, ProtocolError, RetryPolicy,
+    SecurePlatform, SessionEngine, SessionResult, Slaunch, TrustPolicy, Verifier,
 };
 use sea_crypto::Sha1;
 use sea_fleet::{
@@ -46,8 +48,8 @@ use sea_tpm::{PcrIndex, Quote, QuoteSource, SKILL_CONSTANT};
 
 /// Runs `jobs` sessions of PAL `name` on vault platform `index` and
 /// returns the terminal session results. Mirrors the fleet's
-/// per-platform execution: vault TPM, static job→CPU assignment, the
-/// discrete-event backend, job-index nonces.
+/// per-platform execution: vault TPM, static job→CPU assignment,
+/// job-index nonces.
 fn run_sessions(
     index: usize,
     name: &str,
@@ -60,7 +62,7 @@ fn run_sessions(
     let secure = SecurePlatform::with_tpm(platform, KeyVault::global().tpm(index));
     let mut engine = SessionEngine::<Slaunch>::new(secure, workers).expect("pool fits platform");
     engine.set_fault_plan(Some(faults.unwrap_or_else(FaultPlan::fault_free)));
-    let mut policy = BatchPolicy::plain().with_executor(Executor::DiscreteEvent);
+    let mut policy = BatchPolicy::plain();
     if let Some(retry) = retry {
         // Keyed sessions: saturation degrades and faults kill in-band
         // instead of surfacing as batch errors.
@@ -412,11 +414,27 @@ fn thousand_platform_fleet_is_byte_identical_across_shards_and_dispatch() {
     assert_eq!(h1.cert_walks + h1.ticket_hits, 250);
 }
 
+/// Each platform's worker count is pure scheduling: on one CPU per
+/// platform (the serial schedule) and on four, every request lands on
+/// the same platform with the same wire bytes, verdict, fate and
+/// attempt count as on the default two. Only completion times move.
+/// (The name predates the single executor.)
 #[test]
 fn fleet_outcome_is_executor_invariant() {
-    let des = run_fleet(&FleetConfig::new(6, 18));
-    let tp = run_fleet(&FleetConfig::new(6, 18).with_executor(Executor::ThreadPool));
-    assert_eq!(des, tp);
+    let requests = |cpus: u16| {
+        let out = run_fleet(&FleetConfig::new(6, 18).with_cpus(cpus));
+        assert_eq!(out.accepted, 18, "{cpus} CPUs per platform");
+        let mut requests: Vec<_> = out
+            .requests
+            .into_iter()
+            .map(|r| (r.request, r.platform, r.wire, r.verdict, r.fate, r.attempts))
+            .collect();
+        requests.sort_unstable_by_key(|r| r.0);
+        requests
+    };
+    let serial = requests(1);
+    assert_eq!(requests(2), serial);
+    assert_eq!(requests(4), serial);
 }
 
 #[test]
@@ -537,35 +555,38 @@ fn lossy_churn(seed: u64) -> ChurnPlan {
 
 #[test]
 fn duplicated_and_reordered_delivery_never_double_counts() {
-    // The property, at 1 and 4 workers on both executors: every request
-    // resolves to exactly one typed fate, duplicate wire copies are
-    // rejected at the verifier (never re-resolved), and no replayed
-    // single-use nonce is ever accepted.
+    // The property, at 1 and 4 workers: every request resolves to
+    // exactly one typed fate, duplicate wire copies are rejected at the
+    // verifier (never re-resolved), and no replayed single-use nonce is
+    // ever accepted.
     for workers in [1u16, 4] {
         let cfg = FleetConfig::new(3, 10)
             .with_cpus(workers)
             .with_churn(lossy_churn(0x10_55))
             .with_lifecycle(FleetPolicy::resilient().with_max_attempts(8));
-        let des = run_fleet(&cfg);
-        let tp = run_fleet(&cfg.clone().with_executor(Executor::ThreadPool));
-        assert_eq!(des, tp, "executor-invariant at {workers} workers");
+        let out = run_fleet(&cfg);
+        assert_eq!(
+            run_fleet(&cfg),
+            out,
+            "not reproducible at {workers} workers"
+        );
 
         // Exactly one outcome per request id — no double resolution.
-        let mut seen: Vec<u64> = des.requests.iter().map(|r| r.request).collect();
+        let mut seen: Vec<u64> = out.requests.iter().map(|r| r.request).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<u64>>());
-        assert_eq!(des.accepted + des.rejected + des.timed_out, 10);
+        assert_eq!(out.accepted + out.rejected + out.timed_out, 10);
 
         // Duplicated copies reached the verifier and were rejected
         // there (wire-level), without disturbing the fate-level counts.
         assert!(
-            des.stats.requests > des.requests.iter().map(|r| r.attempts as u64).sum::<u64>()
-                || des.stats.rejected > 0,
+            out.stats.requests > out.requests.iter().map(|r| r.attempts as u64).sum::<u64>()
+                || out.stats.rejected > 0,
             "the lossy plan should have produced extra wire traffic"
         );
 
         // Replayed nonces never verify.
-        for adv in des
+        for adv in out
             .adversarial
             .iter()
             .filter(|a| a.kind == AdversaryKind::Replay)
@@ -578,6 +599,8 @@ fn duplicated_and_reordered_delivery_never_double_counts() {
     }
 }
 
+/// A churned fleet is byte-identical across shard counts and
+/// submission permutations. (The name predates the single executor.)
 #[test]
 fn churned_fleet_is_byte_identical_across_shards_executors_and_orders() {
     let churn = lossy_churn(0xC1_44)
@@ -596,11 +619,6 @@ fn churned_fleet_is_byte_identical_across_shards_executors_and_orders() {
             "shards = {shards}"
         );
     }
-    assert_eq!(
-        run_fleet(&cfg.clone().with_executor(Executor::ThreadPool)),
-        base,
-        "executor backend"
-    );
     let mut permuted: Vec<u64> = (0..32).rev().collect();
     permuted.swap(3, 17);
     permuted.swap(0, 31);

@@ -9,11 +9,10 @@
 //! protected region (and with it the program counter, registers, block
 //! cache, and in-region state), so recovery must re-execute the
 //! bytecode from scratch — and still produce byte-identical outputs,
-//! reports, and quotes, at 1 and 4 workers on both executors.
+//! reports, and quotes, at 1 and 4 workers.
 
 use minimal_tcb::core::{
-    BatchPolicy, ConcurrentJob, Executor, RetryPolicy, SecurePlatform, SessionEngine,
-    SessionResult, Slaunch,
+    BatchPolicy, ConcurrentJob, RetryPolicy, SecurePlatform, SessionEngine, SessionResult, Slaunch,
 };
 use minimal_tcb::hw::{CpuId, FaultPlan, Platform, ResetPlan};
 use minimal_tcb::pals::vm::vm_factoring;
@@ -93,37 +92,31 @@ fn reference() -> (Vec<SessionResult>, u64) {
     (out.sessions, total)
 }
 
-/// Runs the durable batch on the given executor with the cord yanked
+/// Runs the durable batch at `workers` workers with the cord yanked
 /// after `cut` trace events; sessions — outputs, reports, and quotes —
 /// must be byte-identical to the crash-free run.
-fn check_cut(
-    workers: usize,
-    executor: Executor,
-    cut: u64,
-    reference: &[SessionResult],
-) -> (Vec<SessionResult>, u32) {
+fn check_cut(workers: usize, cut: u64, reference: &[SessionResult]) -> (Vec<SessionResult>, u32) {
     let mut pool = engine(workers);
     pool.set_fault_plan(Some(fault_plan()));
     let d = pool
         .run(
             batch(),
             &BatchPolicy::plain()
-                .with_executor(executor)
                 .with_retry(RetryPolicy::default())
                 .with_durability(ResetPlan::reset_free().with_cut_after_events(cut)),
         )
-        .unwrap_or_else(|e| panic!("{executor:?}/{workers}w cut {cut}: batch aborted: {e}"));
+        .unwrap_or_else(|e| panic!("{workers}w cut {cut}: batch aborted: {e}"));
     assert_eq!(
         normalize(d.sessions.clone()),
         normalize(reference.to_vec()),
-        "{executor:?}/{workers}w cut {cut}: recovered sessions diverged"
+        "{workers}w cut {cut}: recovered sessions diverged"
     );
     if d.resets > 0 {
-        assert_eq!(d.resets, 1, "{executor:?}/{workers}w cut {cut}");
+        assert_eq!(d.resets, 1, "{workers}w cut {cut}");
         assert_eq!(
             d.committed.len() + d.relaunched.len(),
             JOBS.len(),
-            "{executor:?}/{workers}w cut {cut}: recovery ledger imbalance"
+            "{workers}w cut {cut}: recovery ledger imbalance"
         );
     }
     // Nothing leaks: every sePCR is Free and no page stays protected.
@@ -132,13 +125,13 @@ fn check_cut(
     assert_eq!(
         tpm.sepcrs().free_count(),
         tpm.sepcrs().count(),
-        "{executor:?}/{workers}w cut {cut}: leaked an Exclusive sePCR"
+        "{workers}w cut {cut}: leaked an Exclusive sePCR"
     );
     let (_, cpus_pages, none_pages) = sea.platform().machine().controller().state_census();
     assert_eq!(
         (cpus_pages, none_pages),
         (0, 0),
-        "{executor:?}/{workers}w cut {cut}: leaked protected pages"
+        "{workers}w cut {cut}: leaked protected pages"
     );
     (d.sessions, d.resets)
 }
@@ -150,7 +143,7 @@ fn check_cut(
 fn vm_crash_sweep_every_event_boundary_recovers() {
     let (reference, total) = reference();
     for cut in 0..=(total + 1) {
-        let (_, resets) = check_cut(WORKERS, Executor::ThreadPool, cut, &reference);
+        let (_, resets) = check_cut(WORKERS, cut, &reference);
         if cut <= total {
             assert_eq!(resets, 1, "cut {cut} of {total}: no reset fired");
         } else {
@@ -159,27 +152,21 @@ fn vm_crash_sweep_every_event_boundary_recovers() {
     }
 }
 
-/// The same recovery is worker-count- and executor-invariant: a cut
-/// mid-interpretation replays to the same bytes whether one thread, four
-/// threads, or the event queue drives the batch.
+/// The same recovery is worker-count-invariant: a cut
+/// mid-interpretation replays to the same bytes at four workers as on
+/// the serial schedule. (The name predates the single executor.)
 #[test]
 fn vm_crash_recovery_is_worker_and_executor_invariant() {
     let (reference, total) = reference();
     let cuts = [0, total / 3, total / 2, 2 * total / 3, total];
     for cut in cuts {
-        let mut outcomes = Vec::new();
-        for workers in [1, WORKERS] {
-            for executor in [Executor::ThreadPool, Executor::DiscreteEvent] {
-                let (sessions, resets) = check_cut(workers, executor, cut, &reference);
-                assert_eq!(resets, 1, "{executor:?}/{workers}w cut {cut}");
-                outcomes.push(normalize(sessions));
-            }
-        }
-        for other in &outcomes[1..] {
-            assert_eq!(
-                outcomes[0], *other,
-                "cut {cut}: recovery diverged across workers/executors"
-            );
-        }
+        let (serial, serial_resets) = check_cut(1, cut, &reference);
+        let (wide, wide_resets) = check_cut(WORKERS, cut, &reference);
+        assert_eq!((serial_resets, wide_resets), (1, 1), "cut {cut}");
+        assert_eq!(
+            normalize(serial),
+            normalize(wide),
+            "cut {cut}: recovery diverged across worker counts"
+        );
     }
 }

@@ -15,8 +15,8 @@
 //! The genuine image, of course, verifies on both paths.
 
 use minimal_tcb::core::{
-    BatchPolicy, ConcurrentJob, Executor, Program, SecurePlatform, SessionEngine, SessionResult,
-    Slaunch, Verifier, VerifyError,
+    BatchPolicy, ConcurrentJob, Program, SecurePlatform, SessionEngine, SessionResult, Slaunch,
+    Verifier, VerifyError,
 };
 use minimal_tcb::crypto::{Sha1, Sha1Digest};
 use minimal_tcb::fleet::{KeyVault, RejectReason, TcbInfo, TcbStatus, VerifierService};
@@ -37,10 +37,7 @@ fn honest_wire(kernel: &[u8]) -> Vec<u8> {
         kernel.to_vec(),
     )];
     let out = engine
-        .run(
-            batch,
-            &BatchPolicy::plain().with_executor(Executor::DiscreteEvent),
-        )
+        .run(batch, &BatchPolicy::plain())
         .expect("honest batch runs");
     match &out.sessions[0] {
         SessionResult::Quoted { result, quote, .. } => {
