@@ -7,7 +7,8 @@
 //! * little-endian `u64` limbs, always normalized (no high zero limbs),
 //! * schoolbook multiplication with `u128` accumulation,
 //! * Knuth Algorithm D division,
-//! * Montgomery (CIOS) modular exponentiation for odd moduli, and
+//! * Montgomery (CIOS) modular exponentiation for odd moduli, with a
+//!   4-bit fixed window and allocation-free products, and
 //! * extended-Euclid modular inversion for key generation.
 
 use std::cmp::Ordering;
@@ -180,6 +181,33 @@ impl BigUint {
     /// Interprets the low 64 bits as a `u64` (truncating).
     pub fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)
+    }
+
+    /// `self mod d` for a single-limb divisor, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    pub fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        self.limbs.iter().rev().fold(0u64, |rem, &limb| {
+            ((((rem as u128) << 64) | limb as u128) % d as u128) as u64
+        })
+    }
+
+    /// The `k` low limbs, zero-extended (the value must fit in `k`).
+    fn padded_limbs(&self, k: usize) -> Vec<u64> {
+        debug_assert!(self.limbs.len() <= k);
+        let mut out = self.limbs.clone();
+        out.resize(k, 0);
+        out
+    }
+
+    /// Exponent digit `i` in base `2^width`, for a `width` dividing 64.
+    fn window(&self, i: usize, width: usize) -> usize {
+        let pos = i * width;
+        let limb = self.limbs.get(pos / 64).copied().unwrap_or(0);
+        ((limb >> (pos % 64)) & ((1 << width) - 1)) as usize
     }
 
     fn normalize(&mut self) {
@@ -540,18 +568,34 @@ impl Signed {
     }
 }
 
+/// Limbs of CIOS scratch kept on the stack: moduli up to 2048 bits (the
+/// TPM's key size) plus one carry limb. Wider moduli borrow heap scratch
+/// instead.
+const STACK_LIMBS: usize = 33;
+
+/// Exponents shorter than this many bits (the public exponent 65537, say)
+/// do not repay a 16-entry window table and use plain square-and-multiply.
+const WINDOW_MIN_BITS: usize = 64;
+
 /// Montgomery multiplication context (CIOS method) for an odd modulus.
 ///
-/// Crate-internal: [`BigUint::modexp`] builds one per call, and the RSA
+/// Crate-internal: [`BigUint::modexp`] builds one per call, the RSA
 /// CRT/batch signing paths ([`crate::rsa`]) build one per prime half and
-/// reuse it across a whole batch of signatures, amortizing the `R^2 mod m`
-/// precomputation that dominates context setup.
+/// reuse it across a whole batch of signatures, and the Miller–Rabin test
+/// ([`crate::prime`]) builds one per candidate and shares it across all
+/// witnesses, amortizing the `R^2 mod m` precomputation that dominates
+/// context setup.
+///
+/// Values in Montgomery form are `k`-limb little-endian slices (`k` the
+/// modulus's limb count) holding `x * R mod m`, `R = 2^(64k)`; they are
+/// fully reduced, so two forms are equal exactly when the values are.
 pub(crate) struct Montgomery {
     m: Vec<u64>,
     n0inv: u64,
     /// R^2 mod m, used to convert into Montgomery form.
-    r2: BigUint,
-    modulus: BigUint,
+    r2: Vec<u64>,
+    /// R mod m: the Montgomery form of 1.
+    one: Vec<u64>,
 }
 
 impl Montgomery {
@@ -569,92 +613,161 @@ impl Montgomery {
         let r = BigUint::one().shl_bits(64 * k).rem_ref(modulus);
         let r2 = r.mul_ref(&r).rem_ref(modulus);
         Montgomery {
-            m,
             n0inv,
-            r2,
-            modulus: modulus.clone(),
+            r2: r2.padded_limbs(k),
+            one: r.padded_limbs(k),
+            m,
         }
     }
 
-    /// CIOS Montgomery product: returns `a * b * R^-1 mod m` where inputs
-    /// are `k`-limb little-endian values below `m`.
-    #[allow(clippy::needless_range_loop)] // indexed form mirrors the CIOS paper
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.m.len();
-        let mut t = vec![0u64; k + 2];
-        for i in 0..k {
-            let ai = a.get(i).copied().unwrap_or(0);
+    /// The Montgomery form of 1.
+    pub(crate) fn one(&self) -> &[u64] {
+        &self.one
+    }
+
+    /// Converts `x` (below the modulus) into Montgomery form.
+    pub(crate) fn encode(&self, x: &BigUint) -> Vec<u64> {
+        let mut out = x.padded_limbs(self.m.len());
+        self.mul_assign(&mut out, &self.r2);
+        out
+    }
+
+    /// Converts a Montgomery form back to an ordinary value.
+    fn decode(&self, x: &[u64]) -> BigUint {
+        let mut unit = vec![0u64; self.m.len()];
+        unit[0] = 1;
+        let mut r = BigUint { limbs: x.to_vec() };
+        self.mul_assign(&mut r.limbs, &unit);
+        r.normalize();
+        r
+    }
+
+    /// `x = x * y * R^-1 mod m`: the Montgomery product, in place.
+    pub(crate) fn mul_assign(&self, x: &mut [u64], y: &[u64]) {
+        let mut stack = [0u64; STACK_LIMBS];
+        let mut heap = Vec::new();
+        let t = scratch(&mut stack, &mut heap, self.m.len() + 1);
+        self.product(x, y, t);
+        x.copy_from_slice(&t[..x.len()]);
+    }
+
+    /// `x = x * x * R^-1 mod m`: a Montgomery squaring, in place.
+    pub(crate) fn square(&self, x: &mut [u64]) {
+        let mut stack = [0u64; STACK_LIMBS];
+        let mut heap = Vec::new();
+        let t = scratch(&mut stack, &mut heap, self.m.len() + 1);
+        self.product(x, x, t);
+        x.copy_from_slice(&t[..x.len()]);
+    }
+
+    /// CIOS Montgomery product: leaves `a * b * R^-1 mod m` in `t[..k]`,
+    /// for `k`-limb inputs below `m` and zeroed `k + 1`-limb scratch `t`.
+    ///
+    /// 512-bit keys, the simulator's size, have 4-limb primes and 8-limb
+    /// moduli; fixing `k` at compile time for those lets the limb loops
+    /// unroll. `K = 0` reads `k` from the modulus.
+    fn product(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        match self.m.len() {
+            4 => self.product_k::<4>(a, b, t),
+            8 => self.product_k::<8>(a, b, t),
+            _ => self.product_k::<0>(a, b, t),
+        }
+    }
+
+    fn product_k<const K: usize>(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let k = if K == 0 { self.m.len() } else { K };
+        let (m, a, b, t) = (&self.m[..k], &a[..k], &b[..k], &mut t[..k + 1]);
+        for &ai in a {
             // t += ai * b
-            let mut carry: u128 = 0;
-            for j in 0..k {
-                let s = t[j] as u128 + ai as u128 * b.get(j).copied().unwrap_or(0) as u128 + carry;
-                t[j] = s as u64;
-                carry = s >> 64;
+            let mut carry = 0u64;
+            for (tj, &bj) in t[..k].iter_mut().zip(b) {
+                let s = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
+                *tj = s as u64;
+                carry = (s >> 64) as u64;
             }
-            let s = t[k] as u128 + carry;
+            let s = t[k] as u128 + carry as u128;
             t[k] = s as u64;
-            t[k + 1] += (s >> 64) as u64;
+            let top = (s >> 64) as u64;
 
             // Reduce one limb: t = (t + mi * m) / 2^64
             let mi = t[0].wrapping_mul(self.n0inv);
-            let s = t[0] as u128 + mi as u128 * self.m[0] as u128;
-            let mut carry = s >> 64;
+            let s = t[0] as u128 + mi as u128 * m[0] as u128;
+            let mut carry = (s >> 64) as u64;
             for j in 1..k {
-                let s = t[j] as u128 + mi as u128 * self.m[j] as u128 + carry;
+                let s = t[j] as u128 + mi as u128 * m[j] as u128 + carry as u128;
                 t[j - 1] = s as u64;
-                carry = s >> 64;
+                carry = (s >> 64) as u64;
             }
-            let s = t[k] as u128 + carry;
+            let s = t[k] as u128 + carry as u128;
             t[k - 1] = s as u64;
-            t[k] = t[k + 1] + (s >> 64) as u64;
-            t[k + 1] = 0;
+            t[k] = top + (s >> 64) as u64;
         }
 
-        // Conditional final subtraction: result may be in [0, 2m).
-        let needs_sub = t[k] != 0 || cmp_limbs(&t[..k], &self.m) != Ordering::Less;
-        let mut out = t[..k].to_vec();
-        if needs_sub {
-            let mut borrow: i128 = 0;
-            for j in 0..k {
-                let d = out[j] as i128 - self.m[j] as i128 - borrow;
-                if d < 0 {
-                    out[j] = (d + (1i128 << 64)) as u64;
-                    borrow = 1;
-                } else {
-                    out[j] = d as u64;
-                    borrow = 0;
-                }
+        // Conditional final subtraction: the result may be in [0, 2m).
+        if t[k] != 0 || cmp_limbs(&t[..k], m) != Ordering::Less {
+            let mut borrow = false;
+            for (tj, &mj) in t[..k].iter_mut().zip(m) {
+                let (d, b1) = tj.overflowing_sub(mj);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                *tj = d;
+                borrow = b1 | b2;
             }
         }
-        out
+    }
+
+    /// `base^exponent` with `base` and the result in Montgomery form, by
+    /// left-to-right fixed-window exponentiation: 4-bit windows over a
+    /// table of `base^0..base^15`, or 1-bit windows for short exponents.
+    pub(crate) fn pow(&self, base: &[u64], exponent: &BigUint) -> Vec<u64> {
+        let k = self.m.len();
+        let bits = exponent.bit_len();
+        if bits == 0 {
+            return self.one.clone();
+        }
+        let width = if bits >= WINDOW_MIN_BITS { 4 } else { 1 };
+        // table[i*k..(i+1)*k] = base^i in Montgomery form.
+        let mut table = vec![0u64; k << width];
+        table[..k].copy_from_slice(&self.one);
+        for i in 1..1 << width {
+            let (done, rest) = table.split_at_mut(i * k);
+            let entry = &mut rest[..k];
+            entry.copy_from_slice(&done[(i - 1) * k..]);
+            self.mul_assign(entry, base);
+        }
+        let entry = |digit: usize| &table[digit * k..(digit + 1) * k];
+
+        // The top window holds the top bit, so it is never zero.
+        let windows = bits.div_ceil(width);
+        let mut acc = entry(exponent.window(windows - 1, width)).to_vec();
+        for w in (0..windows - 1).rev() {
+            for _ in 0..width {
+                self.square(&mut acc);
+            }
+            let digit = exponent.window(w, width);
+            if digit != 0 {
+                self.mul_assign(&mut acc, entry(digit));
+            }
+        }
+        acc
     }
 
     /// `base^exponent mod m` for `base` already reduced below the modulus.
     pub(crate) fn modexp(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        let k = self.m.len();
-        let mut base_limbs = base.limbs.clone();
-        base_limbs.resize(k, 0);
-        // Convert to Montgomery form.
-        let mut r2 = self.r2.limbs.clone();
-        r2.resize(k, 0);
-        let base_mont = self.mont_mul(&base_limbs, &r2);
-        // result = R mod m in Montgomery form == mont(1) == 1*R
-        let mut one = vec![0u64; k];
-        one[0] = 1;
-        let mut result = self.mont_mul(&one, &r2);
+        self.decode(&self.pow(&self.encode(base), exponent))
+    }
+}
 
-        for i in (0..exponent.bit_len()).rev() {
-            result = self.mont_mul(&result, &result);
-            if exponent.bit(i) {
-                result = self.mont_mul(&result, &base_mont);
-            }
-        }
-        // Convert out of Montgomery form.
-        let out = self.mont_mul(&result, &one);
-        let mut r = BigUint { limbs: out };
-        r.normalize();
-        debug_assert!(r < self.modulus);
-        r
+/// `len` limbs of zeroed CIOS scratch: on the stack when it fits.
+fn scratch<'a>(
+    stack: &'a mut [u64; STACK_LIMBS],
+    heap: &'a mut Vec<u64>,
+    len: usize,
+) -> &'a mut [u64] {
+    if len <= STACK_LIMBS {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0);
+        heap
     }
 }
 
@@ -908,6 +1021,102 @@ mod tests {
             let m = BigUint::from_bytes_be(&mod_bytes);
             assert_eq!(b.modexp(&e, &m), b.modexp_generic(&e, &m));
         }
+    }
+
+    /// Deterministic xorshift stream for the randomized agreement tests.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    fn random_limbs(next: &mut impl FnMut() -> u64, limbs: usize) -> BigUint {
+        let mut v = BigUint {
+            limbs: (0..limbs).map(|_| next()).collect(),
+        };
+        v.normalize();
+        v
+    }
+
+    #[test]
+    fn rem_u64_agrees_with_divrem() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for limbs in 0..=9 {
+            for _ in 0..20 {
+                let v = random_limbs(&mut next, limbs);
+                for d in [
+                    1,
+                    2,
+                    3,
+                    211,
+                    0xffff_fffb,
+                    next() | 1,
+                    u64::MAX,
+                    next().max(1),
+                ] {
+                    assert_eq!(
+                        BigUint::from_u64(v.rem_u64(d)),
+                        v.divrem(&BigUint::from_u64(d)).1,
+                        "{v:?} mod {d}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_montgomery_agrees_with_generic_modexp() {
+        let mut next = xorshift(0x0123_4567_89ab_cdef);
+        for limbs in 1..=8 {
+            for case in 0..12 {
+                let mut m = random_limbs(&mut next, limbs);
+                m.limbs[0] |= 1;
+                if m.is_one() {
+                    continue;
+                }
+                let base = random_limbs(&mut next, limbs + 1).rem_ref(&m);
+                // Exponent lengths around both window paths, most of them
+                // not a multiple of the 4-bit window.
+                let bits = [1, 3, 17, 63, 64, 65, 130, 257, 64 * limbs - 1][case % 9];
+                let top = BigUint::one().shl_bits(bits - 1);
+                let e = random_limbs(&mut next, bits.div_ceil(64))
+                    .rem_ref(&top)
+                    .add_ref(&top);
+                assert_eq!(e.bit_len(), bits);
+                let mont = Montgomery::new(&m);
+                assert_eq!(
+                    mont.modexp(&base, &e),
+                    base.modexp_generic(&e, &m),
+                    "{base:?}^{e:?} mod {m:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn moduli_wider_than_the_stack_scratch_agree_too() {
+        let mut next = xorshift(0xdead_beef_cafe_f00d);
+        let mut m = random_limbs(&mut next, STACK_LIMBS + 7);
+        m.limbs[0] |= 1;
+        let base = random_limbs(&mut next, STACK_LIMBS).rem_ref(&m);
+        let e = random_limbs(&mut next, 2).add_ref(&BigUint::one().shl_bits(70));
+        assert_eq!(
+            Montgomery::new(&m).modexp(&base, &e),
+            base.modexp_generic(&e, &m)
+        );
+    }
+
+    #[test]
+    fn montgomery_forms_of_one_and_zero_exponent() {
+        let m = BigUint::from_bytes_be(&[0xc3; 40]);
+        let mont = Montgomery::new(&m);
+        let x = BigUint::from_u64(12_345);
+        assert_eq!(mont.modexp(&x, &BigUint::zero()), BigUint::one());
+        assert_eq!(mont.modexp(&BigUint::one(), &m), BigUint::one());
+        assert_eq!(mont.encode(&BigUint::one()), mont.one());
     }
 
     #[test]

@@ -22,7 +22,8 @@ use crate::sha256::Sha256;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Drbg {
-    key: Vec<u8>,
+    /// HMAC keyed with the current key `K`, cloned for every MAC under it.
+    key: Hmac<Sha256>,
     value: Vec<u8>,
 }
 
@@ -30,7 +31,7 @@ impl Drbg {
     /// Instantiates the DRBG from arbitrary seed material.
     pub fn new(seed: &[u8]) -> Self {
         let mut drbg = Drbg {
-            key: vec![0u8; 32],
+            key: Hmac::new(&[0u8; 32]),
             value: vec![1u8; 32],
         };
         drbg.update(Some(seed));
@@ -42,23 +43,23 @@ impl Drbg {
         self.update(Some(material));
     }
 
-    fn update(&mut self, provided: Option<&[u8]>) {
-        let mut h = Hmac::<Sha256>::new(&self.key);
-        h.update(&self.value);
-        h.update(&[0x00]);
-        if let Some(p) = provided {
-            h.update(p);
+    /// `HMAC(K, parts[0] || parts[1] || ...)` under the current key.
+    fn mac(&self, parts: &[&[u8]]) -> Vec<u8> {
+        let mut h = self.key.clone();
+        for part in parts {
+            h.update(part);
         }
-        self.key = h.finalize();
-        self.value = Hmac::<Sha256>::mac(&self.key, &self.value);
+        h.finalize()
+    }
 
-        if let Some(p) = provided {
-            let mut h = Hmac::<Sha256>::new(&self.key);
-            h.update(&self.value);
-            h.update(&[0x01]);
-            h.update(p);
-            self.key = h.finalize();
-            self.value = Hmac::<Sha256>::mac(&self.key, &self.value);
+    fn update(&mut self, provided: Option<&[u8]>) {
+        let p = provided.unwrap_or_default();
+        self.key = Hmac::new(&self.mac(&[&self.value, &[0x00], p]));
+        self.value = self.mac(&[&self.value]);
+
+        if provided.is_some() {
+            self.key = Hmac::new(&self.mac(&[&self.value, &[0x01], p]));
+            self.value = self.mac(&[&self.value]);
         }
     }
 
@@ -66,7 +67,7 @@ impl Drbg {
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
         let mut written = 0;
         while written < out.len() {
-            self.value = Hmac::<Sha256>::mac(&self.key, &self.value);
+            self.value = self.mac(&[&self.value]);
             let take = (out.len() - written).min(self.value.len());
             out[written..written + take].copy_from_slice(&self.value[..take]);
             written += take;

@@ -7,6 +7,9 @@ use crate::digest::Digest;
 
 /// Incremental HMAC computation over digest `D`.
 ///
+/// A keyed instance can be cloned to MAC several messages under one key
+/// without re-absorbing the padded key blocks.
+///
 /// # Example
 ///
 /// ```
@@ -20,8 +23,10 @@ use crate::digest::Digest;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Hmac<D: Digest> {
+    /// The inner hash, with the ipad-masked key already absorbed.
     inner: D,
-    opad_key: Vec<u8>,
+    /// The outer hash, with the opad-masked key already absorbed.
+    outer: D,
 }
 
 impl<D: Digest> Hmac<D> {
@@ -30,20 +35,21 @@ impl<D: Digest> Hmac<D> {
     /// Keys longer than the digest block size are first hashed, per
     /// RFC 2104.
     pub fn new(key: &[u8]) -> Self {
-        let mut key_block = vec![0u8; D::BLOCK_LEN];
+        let mut block = vec![0u8; D::BLOCK_LEN];
         if key.len() > D::BLOCK_LEN {
             let hashed = D::digest_oneshot(key);
-            key_block[..hashed.len()].copy_from_slice(&hashed);
+            block[..hashed.len()].copy_from_slice(&hashed);
         } else {
-            key_block[..key.len()].copy_from_slice(key);
+            block[..key.len()].copy_from_slice(key);
         }
 
-        let ipad_key: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-        let opad_key: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-
         let mut inner = D::new();
-        inner.update(&ipad_key);
-        Hmac { inner, opad_key }
+        let mut outer = D::new();
+        block.iter_mut().for_each(|b| *b ^= 0x36);
+        inner.update(&block);
+        block.iter_mut().for_each(|b| *b ^= 0x36 ^ 0x5c);
+        outer.update(&block);
+        Hmac { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -55,8 +61,7 @@ impl<D: Digest> Hmac<D> {
     /// (`D::OUTPUT_LEN` bytes).
     pub fn finalize(self) -> Vec<u8> {
         let inner_digest = self.inner.finalize();
-        let mut outer = D::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }

@@ -1,6 +1,6 @@
 //! Probabilistic prime generation (Miller–Rabin) for RSA key generation.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, Montgomery};
 use crate::drbg::Drbg;
 use crate::error::CryptoError;
 
@@ -28,23 +28,16 @@ const MR_ROUNDS: usize = 40;
 /// assert!(!is_probably_prime(&BigUint::from_u64(65_539 * 3), &mut rng));
 /// ```
 pub fn is_probably_prime(n: &BigUint, rng: &mut Drbg) -> bool {
-    if n.is_zero() || n.is_one() {
-        return false;
-    }
-    if n == &BigUint::from_u64(2) {
-        return true;
-    }
-    if n.is_even() {
-        return false;
-    }
-    for &p in &SMALL_PRIMES {
-        let pv = BigUint::from_u64(p);
-        if n == &pv {
-            return true;
+    if n.bit_len() <= 64 {
+        match n.low_u64() {
+            0 | 1 => return false,
+            2 => return true,
+            v if SMALL_PRIMES.contains(&v) => return true,
+            _ => {}
         }
-        if n.rem_ref(&pv).is_zero() {
-            return false;
-        }
+    }
+    if n.is_even() || has_small_factor(n) {
+        return false;
     }
 
     // n - 1 = d * 2^s with d odd
@@ -57,24 +50,54 @@ pub fn is_probably_prime(n: &BigUint, rng: &mut Drbg) -> bool {
         s += 1;
     }
 
+    // One Montgomery context serves every witness; x stays in Montgomery
+    // form throughout and is compared against the forms of 1 and n - 1.
+    let mont = Montgomery::new(n);
+    let plus_one = mont.one();
+    let minus_one = mont.encode(&n_minus_1);
     let two = BigUint::from_u64(2);
     'witness: for _ in 0..MR_ROUNDS {
         // Witness a in [2, n-2]
         let a = random_below(&n_minus_1, rng);
         let a = if a < two { two.clone() } else { a };
-        let mut x = a.modexp(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = mont.pow(&mont.encode(&a), &d);
+        if x == plus_one || x == minus_one {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = x.mul_ref(&x).rem_ref(n);
-            if x == n_minus_1 {
+            mont.square(&mut x);
+            if x == minus_one {
                 continue 'witness;
             }
         }
         return false;
     }
     true
+}
+
+/// Whether a prime in [`SMALL_PRIMES`] divides `n`. The primes are taken
+/// in runs whose product fits in a `u64`, so each run costs one
+/// single-limb remainder pass over `n`: `n mod p = (n mod P) mod p` when
+/// `p` divides `P`.
+fn has_small_factor(n: &BigUint) -> bool {
+    let mut start = 0;
+    while start < SMALL_PRIMES.len() {
+        let mut product = 1u64;
+        let mut end = start;
+        while let Some(p) = SMALL_PRIMES.get(end).and_then(|&p| product.checked_mul(p)) {
+            product = p;
+            end += 1;
+        }
+        let r = n.rem_u64(product);
+        if SMALL_PRIMES[start..end]
+            .iter()
+            .any(|&p| r.is_multiple_of(p))
+        {
+            return true;
+        }
+        start = end;
+    }
+    false
 }
 
 /// Generates a random probable prime of exactly `bits` bits.
@@ -163,6 +186,34 @@ mod tests {
                 "{c} should be composite"
             );
         }
+    }
+
+    #[test]
+    fn single_limb_small_primes_and_their_multiples() {
+        let mut rng = Drbg::new(b"t");
+        for &p in &SMALL_PRIMES {
+            let n = BigUint::from_u64(p);
+            assert!(is_probably_prime(&n, &mut rng), "{p} is prime");
+            for q in [3u64, p, 1 << 61] {
+                let c = BigUint::from_u64(p).mul_ref(&BigUint::from_u64(q));
+                assert!(!is_probably_prime(&c, &mut rng), "{p} * {q}");
+            }
+        }
+        // The largest trial divisor's neighbours go to Miller–Rabin.
+        assert!(is_probably_prime(&BigUint::from_u64(223), &mut rng));
+        assert!(!is_probably_prime(&BigUint::from_u64(223 * 227), &mut rng));
+    }
+
+    #[test]
+    fn trial_division_draws_nothing() {
+        // A composite caught by a small prime consumes no witnesses, so
+        // the DRBG stream continues exactly where it was.
+        let mut a = Drbg::new(b"stream");
+        let mut b = Drbg::new(b"stream");
+        let c =
+            BigUint::from_u64(211).mul_ref(&BigUint::one().shl_bits(200).add_ref(&BigUint::one()));
+        assert!(!is_probably_prime(&c, &mut a));
+        assert_eq!(a.fill(16), b.fill(16));
     }
 
     #[test]

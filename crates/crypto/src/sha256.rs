@@ -100,12 +100,16 @@ impl Sha256 {
     /// Consumes the hasher, returning the digest as a fixed-size array.
     pub fn finalize_fixed(mut self) -> [u8; SHA256_DIGEST_LEN] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update_bytes(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_bytes(&[0]);
+        // Pad with 0x80 then zeros up to the length field; the length
+        // spills into an extra block when fewer than 9 bytes are free.
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            self.compress(&block);
+            block = [0u8; BLOCK_LEN];
         }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
         let mut out = [0u8; SHA256_DIGEST_LEN];
@@ -216,6 +220,32 @@ mod tests {
             hex(&Sha256::digest(&data)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    #[test]
+    fn padding_at_the_block_boundaries() {
+        // 55 bytes leave exactly room for 0x80 and the length; 63, 64 and
+        // 119 bytes push the length into an extra block.
+        for (n, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+        ] {
+            assert_eq!(hex(&Sha256::digest(&vec![b'a'; n])), want, "{n} bytes");
+        }
     }
 
     #[test]

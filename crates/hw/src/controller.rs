@@ -17,6 +17,8 @@
 //!   └──── SFREE ─────┘  └───── resume ──────┘
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use crate::error::HwError;
 use crate::types::{AccessKind, CpuId, CpuMask, PageIndex, PageRange, Requester};
 
@@ -47,6 +49,10 @@ impl PageAccess {
 
 /// The north-bridge memory controller.
 ///
+/// The table is stored sparsely: only entries that differ from the
+/// power-on default (`ALL`, DMA permitted) are kept, so construction and
+/// [`crate::Machine::reset`] cost nothing per installed page.
+///
 /// # Example
 ///
 /// ```
@@ -62,9 +68,11 @@ impl PageAccess {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryController {
-    table: Vec<PageAccess>,
-    /// DEV/MPT bit per page: `true` means DMA to the page is blocked.
-    dev: Vec<bool>,
+    num_pages: u32,
+    /// Entries not in the `ALL` state, by page. `ALL` is never stored.
+    table: BTreeMap<u32, PageAccess>,
+    /// Pages whose DEV/MPT bit is set: DMA to them is blocked.
+    dev: BTreeSet<u32>,
     /// One-shot injected fault: the next `resume_pages` is spuriously
     /// denied (a transient TOCTOU window in the table-update queue).
     spurious: bool,
@@ -75,8 +83,9 @@ impl MemoryController {
     /// with DMA permitted.
     pub fn new(num_pages: u32) -> Self {
         MemoryController {
-            table: vec![PageAccess::All; num_pages as usize],
-            dev: vec![false; num_pages as usize],
+            num_pages,
+            table: BTreeMap::new(),
+            dev: BTreeSet::new(),
             spurious: false,
         }
     }
@@ -97,7 +106,13 @@ impl MemoryController {
 
     /// Number of pages covered.
     pub fn num_pages(&self) -> u32 {
-        self.table.len() as u32
+        self.num_pages
+    }
+
+    /// Number of stored entries: pages not in the `ALL` state plus
+    /// DEV-blocked pages. Zero at power-on.
+    pub fn resident_entries(&self) -> usize {
+        self.table.len() + self.dev.len()
     }
 
     /// Current table entry for `page`.
@@ -106,12 +121,18 @@ impl MemoryController {
     ///
     /// Panics if `page` is out of range.
     pub fn access(&self, page: PageIndex) -> PageAccess {
-        self.table[page.0 as usize]
+        self.assert_installed(page);
+        self.entry(page.0)
     }
 
     /// Whether the DEV blocks DMA to `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
     pub fn dev_blocked(&self, page: PageIndex) -> bool {
-        self.dev[page.0 as usize]
+        self.assert_installed(page);
+        self.dev.contains(&page.0)
     }
 
     /// Checks whether `requester` may perform `kind` on `page`.
@@ -132,15 +153,16 @@ impl MemoryController {
         page: PageIndex,
     ) -> Result<(), HwError> {
         let _ = kind;
-        let idx = page.0 as usize;
-        let entry = *self.table.get(idx).ok_or(HwError::AddressOutOfRange {
-            addr: page.base_addr(),
-        })?;
-        let allowed = match (requester, entry) {
+        if page.0 >= self.num_pages {
+            return Err(HwError::AddressOutOfRange {
+                addr: page.base_addr(),
+            });
+        }
+        let allowed = match (requester, self.entry(page.0)) {
             (_, PageAccess::All) => match requester {
                 // DEV applies even to pages in ALL: DMA protection is the
                 // baseline mechanism and exists independently.
-                Requester::Device(_) => !self.dev[idx],
+                Requester::Device(_) => !self.dev.contains(&page.0),
                 Requester::Cpu(_) => true,
             },
             (Requester::Cpu(c), PageAccess::Cpus(owners)) => owners.contains(c),
@@ -165,13 +187,15 @@ impl MemoryController {
     /// must return a failure code", §5.6). No page is modified on failure.
     pub fn protect_for_cpu(&mut self, range: PageRange, cpu: CpuId) -> Result<(), HwError> {
         self.check_installed(range)?;
-        for page in range.iter() {
-            if self.table[page.0 as usize] != PageAccess::All {
-                return Err(HwError::PageConflict { page });
-            }
+        // Only non-ALL pages are stored, so the first stored page in the
+        // range is the first conflict.
+        if let Some((&page, _)) = self.table.range(span(range)).next() {
+            return Err(HwError::PageConflict {
+                page: PageIndex(page),
+            });
         }
         for page in range.iter() {
-            self.table[page.0 as usize] = PageAccess::cpu(cpu);
+            self.table.insert(page.0, PageAccess::cpu(cpu));
         }
         Ok(())
     }
@@ -191,14 +215,12 @@ impl MemoryController {
         new_cpu: CpuId,
     ) -> Result<(), HwError> {
         self.check_installed(range)?;
-        for page in range.iter() {
-            match self.table[page.0 as usize] {
-                PageAccess::Cpus(owners) if owners.contains(requester) => {}
-                _ => return Err(HwError::InvalidPageTransition { page }),
-            }
-        }
-        for page in range.iter() {
-            if let PageAccess::Cpus(owners) = &mut self.table[page.0 as usize] {
+        self.require_all(
+            range,
+            |entry| matches!(entry, PageAccess::Cpus(owners) if owners.contains(requester)),
+        )?;
+        for (_, entry) in self.table.range_mut(span(range)) {
+            if let PageAccess::Cpus(owners) = entry {
                 owners.insert(new_cpu);
             }
         }
@@ -214,14 +236,12 @@ impl MemoryController {
     /// set containing `cpu`. No page is modified on failure.
     pub fn suspend_pages(&mut self, range: PageRange, cpu: CpuId) -> Result<(), HwError> {
         self.check_installed(range)?;
-        for page in range.iter() {
-            match self.table[page.0 as usize] {
-                PageAccess::Cpus(owners) if owners.contains(cpu) => {}
-                _ => return Err(HwError::InvalidPageTransition { page }),
-            }
-        }
-        for page in range.iter() {
-            self.table[page.0 as usize] = PageAccess::None;
+        self.require_all(
+            range,
+            |entry| matches!(entry, PageAccess::Cpus(owners) if owners.contains(cpu)),
+        )?;
+        for (_, entry) in self.table.range_mut(span(range)) {
+            *entry = PageAccess::None;
         }
         Ok(())
     }
@@ -246,13 +266,9 @@ impl MemoryController {
                 page: range.start,
             });
         }
-        for page in range.iter() {
-            if self.table[page.0 as usize] != PageAccess::None {
-                return Err(HwError::InvalidPageTransition { page });
-            }
-        }
-        for page in range.iter() {
-            self.table[page.0 as usize] = PageAccess::cpu(cpu);
+        self.require_all(range, |entry| entry == PageAccess::None)?;
+        for (_, entry) in self.table.range_mut(span(range)) {
+            *entry = PageAccess::cpu(cpu);
         }
         Ok(())
     }
@@ -265,7 +281,7 @@ impl MemoryController {
     pub fn release_pages(&mut self, range: PageRange) -> Result<(), HwError> {
         self.check_installed(range)?;
         for page in range.iter() {
-            self.table[page.0 as usize] = PageAccess::All;
+            self.table.remove(&page.0);
         }
         Ok(())
     }
@@ -279,7 +295,11 @@ impl MemoryController {
     pub fn set_dev(&mut self, range: PageRange, blocked: bool) -> Result<(), HwError> {
         self.check_installed(range)?;
         for page in range.iter() {
-            self.dev[page.0 as usize] = blocked;
+            if blocked {
+                self.dev.insert(page.0);
+            } else {
+                self.dev.remove(&page.0);
+            }
         }
         Ok(())
     }
@@ -287,8 +307,8 @@ impl MemoryController {
     /// Counts pages currently in each state `(all, cpu_only, none)` —
     /// useful for invariant checks in tests.
     pub fn state_census(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for entry in &self.table {
+        let mut counts = (self.num_pages as usize - self.table.len(), 0, 0);
+        for entry in self.table.values() {
             match entry {
                 PageAccess::All => counts.0 += 1,
                 PageAccess::Cpus(_) => counts.1 += 1,
@@ -298,15 +318,46 @@ impl MemoryController {
         counts
     }
 
+    fn entry(&self, page: u32) -> PageAccess {
+        self.table.get(&page).copied().unwrap_or_default()
+    }
+
+    /// Fails with the first page in `range` whose entry does not satisfy
+    /// `ok` (the check half of every check-then-apply transition).
+    fn require_all(
+        &self,
+        range: PageRange,
+        ok: impl Fn(PageAccess) -> bool,
+    ) -> Result<(), HwError> {
+        match range.iter().find(|page| !ok(self.entry(page.0))) {
+            Some(page) => Err(HwError::InvalidPageTransition { page }),
+            None => Ok(()),
+        }
+    }
+
+    fn assert_installed(&self, page: PageIndex) {
+        assert!(
+            page.0 < self.num_pages,
+            "page {} beyond the {} installed pages",
+            page.0,
+            self.num_pages
+        );
+    }
+
     fn check_installed(&self, range: PageRange) -> Result<(), HwError> {
         let end = range.start.0 as u64 + range.count as u64;
-        if end > self.table.len() as u64 {
+        if end > self.num_pages as u64 {
             return Err(HwError::AddressOutOfRange {
                 addr: range.base_addr(),
             });
         }
         Ok(())
     }
+}
+
+/// The table keys `range` covers (valid once `check_installed` passed).
+fn span(range: PageRange) -> std::ops::Range<u32> {
+    range.start.0..range.start.0 + range.count
 }
 
 #[cfg(test)]
@@ -513,6 +564,29 @@ mod tests {
         mc.protect_for_cpu(range(8, 2), CpuId(1)).unwrap();
         mc.suspend_pages(range(8, 2), CpuId(1)).unwrap();
         assert_eq!(mc.state_census(), (11, 3, 2));
+    }
+
+    #[test]
+    fn power_on_table_stores_nothing() {
+        let mut mc = MemoryController::new(16_384);
+        assert_eq!(mc.resident_entries(), 0);
+        assert_eq!(mc.state_census(), (16_384, 0, 0));
+        mc.protect_for_cpu(range(100, 4), CpuId(0)).unwrap();
+        // A refused transition stores nothing.
+        mc.suspend_pages(range(102, 2), CpuId(1)).unwrap_err();
+        mc.set_dev(range(0, 8), true).unwrap();
+        assert_eq!(mc.state_census(), (16_380, 4, 0));
+        assert_eq!(mc.resident_entries(), 12);
+        mc.release_pages(range(100, 4)).unwrap();
+        mc.set_dev(range(0, 8), false).unwrap();
+        assert_eq!(mc.state_census(), (16_384, 0, 0));
+        assert_eq!(mc.resident_entries(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 16 installed pages")]
+    fn access_past_installed_memory_panics() {
+        let _ = mc().access(PageIndex(16));
     }
     #[test]
     fn spurious_denial_fires_once_and_modifies_nothing() {

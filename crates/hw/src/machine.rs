@@ -578,6 +578,28 @@ mod tests {
     }
 
     #[test]
+    fn platform_state_is_resident_only_where_touched() {
+        let mut m = Machine::new(Platform::recommended(2));
+        // 64 MiB installed, nothing backed or stored at power-on.
+        assert_eq!(m.memory().num_pages(), 16_384);
+        assert_eq!(m.memory().resident_pages(), 0);
+        assert_eq!(m.controller().resident_entries(), 0);
+        assert_eq!(m.controller().state_census(), (16_384, 0, 0));
+
+        let range = PageRange::new(PageIndex(8), 2);
+        m.controller_mut().protect_for_cpu(range, CpuId(0)).unwrap();
+        m.write(Requester::Cpu(CpuId(0)), range.base_addr(), b"pal")
+            .unwrap();
+        assert_eq!(m.memory().resident_pages(), 1);
+        assert_eq!(m.controller().resident_entries(), 2);
+
+        // A reset empties the table store; DRAM keeps its one page.
+        m.reset();
+        assert_eq!(m.controller().resident_entries(), 0);
+        assert_eq!(m.memory().resident_pages(), 1);
+    }
+
+    #[test]
     fn machine_is_send_sync() {
         // The concurrent session engine moves whole platforms across
         // worker threads; all state must be owned data.

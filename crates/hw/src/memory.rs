@@ -4,41 +4,60 @@
 //! the [`crate::MemoryController`]. The [`crate::Machine`] composes the
 //! two so every read/write is permission-checked, exactly like requests
 //! flowing through the north bridge in Figure 1 of the paper.
+//!
+//! Installed memory is populated lazily, like the guest memory of a
+//! micro-VM: a page is allocated on its first write and reads as zeros
+//! until then, so a platform costs what its PALs touch, not what it has
+//! installed.
+
+use std::collections::BTreeMap;
 
 use crate::error::HwError;
 use crate::types::{PageIndex, PhysAddr, PAGE_SIZE};
 
-/// Physical memory as an array of pages.
+/// Physical memory: `num_pages` installed pages, of which only the
+/// written ones are resident.
 #[derive(Clone)]
 pub struct Memory {
-    pages: Vec<Box<[u8; PAGE_SIZE]>>,
+    num_pages: u32,
+    /// Resident pages by index; every other installed page is zero.
+    pages: BTreeMap<u32, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl std::fmt::Debug for Memory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memory")
-            .field("pages", &self.pages.len())
-            .field("bytes", &(self.pages.len() * PAGE_SIZE))
+            .field("pages", &self.num_pages)
+            .field("bytes", &self.byte_len())
+            .field("resident", &self.pages.len())
             .finish()
     }
 }
 
 impl Memory {
-    /// Allocates `num_pages` zeroed pages.
+    /// Installs `num_pages` zeroed pages. Nothing is allocated until a
+    /// page is first written.
     pub fn new(num_pages: u32) -> Self {
         Memory {
-            pages: (0..num_pages).map(|_| Box::new([0u8; PAGE_SIZE])).collect(),
+            num_pages,
+            pages: BTreeMap::new(),
         }
     }
 
     /// Number of installed pages.
     pub fn num_pages(&self) -> u32 {
-        self.pages.len() as u32
+        self.num_pages
     }
 
     /// Total installed bytes.
     pub fn byte_len(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE as u64
+        self.num_pages as u64 * PAGE_SIZE as u64
+    }
+
+    /// Number of pages currently backed by host memory: those written
+    /// since they were installed or last erased by [`Memory::zero_page`].
+    pub fn resident_pages(&self) -> usize {
+        self.pages.len()
     }
 
     fn check_range(&self, addr: PhysAddr, len: usize) -> Result<(), HwError> {
@@ -50,7 +69,8 @@ impl Memory {
     }
 
     /// Reads `len` bytes starting at `addr` (no permission check — use
-    /// [`crate::Machine::read`] for the checked path).
+    /// [`crate::Machine::read`] for the checked path). Untouched pages
+    /// read as zeros.
     ///
     /// # Errors
     ///
@@ -62,10 +82,12 @@ impl Memory {
         let mut cur = addr;
         let mut remaining = len;
         while remaining > 0 {
-            let page = &self.pages[cur.page().0 as usize];
             let off = cur.page_offset();
             let take = remaining.min(PAGE_SIZE - off);
-            out.extend_from_slice(&page[off..off + take]);
+            match self.pages.get(&cur.page().0) {
+                Some(page) => out.extend_from_slice(&page[off..off + take]),
+                None => out.resize(out.len() + take, 0),
+            }
             cur = cur.offset(take as u64);
             remaining -= take;
         }
@@ -73,7 +95,8 @@ impl Memory {
     }
 
     /// Writes `data` starting at `addr` (no permission check — use
-    /// [`crate::Machine::write`] for the checked path).
+    /// [`crate::Machine::write`] for the checked path). Each page the
+    /// range touches becomes resident.
     ///
     /// # Errors
     ///
@@ -84,7 +107,10 @@ impl Memory {
         let mut cur = addr;
         let mut src = data;
         while !src.is_empty() {
-            let page = &mut self.pages[cur.page().0 as usize];
+            let page = self
+                .pages
+                .entry(cur.page().0)
+                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
             let off = cur.page_offset();
             let take = src.len().min(PAGE_SIZE - off);
             page[off..off + take].copy_from_slice(&src[..take]);
@@ -94,21 +120,20 @@ impl Memory {
         Ok(())
     }
 
-    /// Zeroes an entire page. Used by `SKILL` ("erase all memory pages
-    /// associated with the PAL", §5.5) and by PAL application-level state
-    /// clears.
+    /// Zeroes an entire page by dropping its backing storage. Used by
+    /// `SKILL` ("erase all memory pages associated with the PAL", §5.5)
+    /// and by PAL application-level state clears.
     ///
     /// # Errors
     ///
     /// Returns [`HwError::AddressOutOfRange`] for a non-installed page.
     pub fn zero_page(&mut self, page: PageIndex) -> Result<(), HwError> {
-        let idx = page.0 as usize;
-        if idx >= self.pages.len() {
+        if page.0 >= self.num_pages {
             return Err(HwError::AddressOutOfRange {
                 addr: page.base_addr(),
             });
         }
-        self.pages[idx].fill(0);
+        self.pages.remove(&page.0);
         Ok(())
     }
 
@@ -181,6 +206,37 @@ mod tests {
             vec![0u8; 6]
         );
         assert!(m.zero_page(PageIndex(2)).is_err());
+    }
+
+    #[test]
+    fn untouched_pages_read_as_zeros_and_are_not_resident() {
+        let mut m = Memory::new(16_384);
+        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.byte_len(), 64 << 20);
+        assert_eq!(m.read_raw(PhysAddr(12_345), 64).unwrap(), vec![0u8; 64]);
+        // A cross-page read over one written and one untouched page.
+        let addr = PhysAddr(3 * PAGE_SIZE as u64 - 3);
+        m.write_raw(addr, b"abc").unwrap();
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.read_raw(addr, 6).unwrap(), b"abc\0\0\0");
+        // Reads never allocate.
+        assert_eq!(m.resident_pages(), 1);
+    }
+
+    #[test]
+    fn zero_page_frees_the_page() {
+        let mut m = Memory::new(4);
+        m.write_raw(PhysAddr(PAGE_SIZE as u64 - 1), b"xy").unwrap();
+        assert_eq!(m.resident_pages(), 2);
+        m.zero_page(PageIndex(0)).unwrap();
+        assert_eq!(m.resident_pages(), 1);
+        // Erasing an untouched page is a no-op, not an allocation.
+        m.zero_page(PageIndex(3)).unwrap();
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(
+            m.read_raw(PhysAddr(PAGE_SIZE as u64 - 1), 2).unwrap(),
+            vec![0, b'y']
+        );
     }
 
     #[test]

@@ -164,6 +164,8 @@ pub struct Platform {
 pub(crate) const LPC_MEASURED_NS_PER_BYTE: f64 = 134.58;
 
 /// Default installed memory: 16 Ki pages = 64 MiB (ample for PALs).
+/// Installed, not allocated: [`crate::Memory`] backs a page only once it
+/// is written.
 const DEFAULT_MEM_PAGES: u32 = 16 * 1024;
 
 impl Platform {

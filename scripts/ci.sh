@@ -9,31 +9,46 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check =="
+# Each phase header closes the previous phase with its elapsed wall time
+# (bash SECONDS), so the cost of every tier-1 step is visible.
+phase_name=""
+phase_start=0
+phase() {
+  if [ -n "$phase_name" ]; then
+    echo "-- $phase_name: $((SECONDS - phase_start)) s"
+  fi
+  phase_name=$1
+  phase_start=$SECONDS
+  if [ -n "$1" ]; then
+    echo "== $1 =="
+  fi
+}
+
+phase "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== cargo clippy (offline, warnings are errors) =="
+phase "cargo clippy (offline, warnings are errors)"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-echo "== cargo build --release (offline) =="
+phase "cargo build --release (offline)"
 cargo build --release --workspace --offline
 
-echo "== cargo doc (offline, warnings are errors) =="
+phase "cargo doc (offline, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
-echo "== cargo test (offline) =="
+phase "cargo test (offline)"
 cargo test -q --workspace --offline
 
-echo "== perfbench self-test (release, offline) =="
+phase "perfbench self-test (release, offline)"
 # The benchmark is a separate workspace that drives the crates' public
 # API; building and self-testing it here catches an API change that
 # would break it.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== quickstart example (offline) =="
+phase "quickstart example (offline)"
 cargo run -q --release --offline -p minimal-tcb --example quickstart
 
-echo "== unified-engine guardrails =="
+phase "unified-engine guardrails"
 # sea-core's public API must stay fully documented (the crate-level
 # lint is load-bearing: rustdoc warnings above only catch broken links).
 grep -q '^#!\[deny(missing_docs)\]' crates/core/src/lib.rs \
@@ -85,33 +100,33 @@ if [ -n "$costs" ]; then
   exit 1
 fi
 
-echo "== engine examples (offline) =="
+phase "engine examples (offline)"
 cargo run -q --release --offline -p minimal-tcb --example multi_pal_server > /dev/null
 cargo run -q --release --offline -p minimal-tcb --example full_system > /dev/null
 
-echo "== chaos suite (fixed fault seed, offline) =="
+phase "chaos suite (fixed fault seed, offline)"
 SEA_CHAOS_SEED=20080317 cargo test -q -p minimal-tcb --offline --test fault_recovery
 
-echo "== crash suite (fixed crash seed, offline) =="
+phase "crash suite (fixed crash seed, offline)"
 SEA_CRASH_SEED=20080317 cargo test -q -p minimal-tcb --offline --test crash_recovery
 
-echo "== benches (smoke mode, offline) =="
+phase "benches (smoke mode, offline)"
 SEA_BENCH_SMOKE=1 cargo bench -q -p sea-bench --offline
 
-echo "== fault-sweep bench (smoke mode, offline) =="
+phase "fault-sweep bench (smoke mode, offline)"
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin fault_sweep
 
-echo "== scale bench: 1024 virtual CPUs on the event queue (smoke mode, offline) =="
+phase "scale bench: 1024 virtual CPUs on the event queue (smoke mode, offline)"
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin scale
 
-echo "== fleet bench: sharded attestation fleet + remote verifier (smoke mode, offline) =="
+phase "fleet bench: sharded attestation fleet + remote verifier (smoke mode, offline)"
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin fleet
 # Per-platform worker count must not change any request's wire or
 # verdict (the debug test binary is already built by the test phase).
 cargo test -q -p minimal-tcb --offline --test verifier_differential \
   fleet_outcome_is_executor_invariant
 
-echo "== churn bench: fleet under faults, rotation, and adversaries (smoke mode, offline) =="
+phase "churn bench: fleet under faults, rotation, and adversaries (smoke mode, offline)"
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin churn
 # Churned outcomes must stay byte-identical across shard counts and
 # submission permutations, and every adversarial wire must be rejected
@@ -121,7 +136,7 @@ cargo test -q -p minimal-tcb --offline --test verifier_differential \
 cargo test -q -p minimal-tcb --offline --test verifier_differential \
   every_adversarial_wire_is_rejected_with_a_typed_reason
 
-echo "== vm bench: measured bytecode PALs, chained vs lookup dispatch (offline) =="
+phase "vm bench: measured bytecode PALs, chained vs lookup dispatch (offline)"
 # The artifact itself asserts chained and lookup runs produce identical
 # outputs and retire identical instruction counts, and reports whether
 # the quote set is byte-identical at 1 and 4 workers.
@@ -133,14 +148,14 @@ cargo test -q -p minimal-tcb --offline --test vm_differential
 # the product, the cost-model feature is optional.
 cargo build -q -p sea-pals --offline --no-default-features
 
-echo "== suite + BENCH_suite.json (smoke mode, offline) =="
+phase "suite + BENCH_suite.json (smoke mode, offline)"
 SUITE_JSON=target/BENCH_suite.json
 rm -f "$SUITE_JSON"
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin suite -- 2 --json "$SUITE_JSON" > /dev/null
 [ -s "$SUITE_JSON" ] || { echo "ci.sh: $SUITE_JSON missing or empty" >&2; exit 1; }
 cargo run -q --release -p sea-bench --offline --bin suite -- --validate "$SUITE_JSON"
 
-echo "== suite worker-count invariance: 1 vs 8 vs 16 workers (smoke mode, offline) =="
+phase "suite worker-count invariance: 1 vs 8 vs 16 workers (smoke mode, offline)"
 # The decomposed engine lock must not cost determinism: the whole suite
 # — rendered report and BENCH_suite.json alike — is byte-identical at
 # every worker count.
@@ -157,4 +172,5 @@ for w in 8 16; do
     || { echo "ci.sh: suite report differs between 1 and $w workers" >&2; exit 1; }
 done
 
-echo "== ci.sh: all green =="
+phase ""
+echo "== ci.sh: all green in $SECONDS s =="
