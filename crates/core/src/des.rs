@@ -11,14 +11,12 @@
 //!
 //! * events fire in `(time, session id)` order, FIFO at exact ties —
 //!   the tie-break contract pinned by `tests/proptest_invariants.rs`;
-//! * the TPM command gate is the per-CPU-lane arbiter
-//!   ([`ShardedTpmArbiter`], grant-order-identical to the retired
-//!   `EventOrderedTpmLock` by `sea-tpm`'s differential test): a quote
-//!   occupies the TPM for its virtual duration, contending quotes are
-//!   granted by `(request time, CPU)` instead of by whichever OS
-//!   thread wins a compare-and-swap, and each grant carries its
-//!   request stamp so the queueing delay is charged to `tpm.gate`
-//!   lock-wait;
+//! * the TPM command gate is the paper's §5.4.5 hardware lock as a
+//!   virtual-time arbiter ([`EventOrderedTpmLock`], whose grant order
+//!   `sea-tpm` pins with a recorded golden): a quote occupies the TPM
+//!   for its virtual duration, contending quotes are granted by
+//!   `(request time, CPU)`, and each grant carries its request stamp
+//!   so the queueing delay is charged to `tpm.gate` lock-wait;
 //! * journal commit gates run at the committing session's terminal
 //!   event, in event order.
 //!
@@ -31,17 +29,14 @@
 //! contract.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use sea_hw::{CpuClockDomain, CpuId, EventQueue, Layer, Obs, SharedClock, SimDuration, SimTime};
-use sea_tpm::ShardedTpmArbiter;
+use sea_hw::{CpuId, EventQueue, Layer, Obs, SimDuration, SimTime};
+use sea_tpm::EventOrderedTpmLock;
 
 use crate::concurrent::ConcurrentJob;
 use crate::driver::{DriveStep, SessionDriver};
 use crate::engine::{Architecture, Attempt, WorkerMode};
 use crate::error::SeaError;
-use crate::locks::{lock, OrderedLock};
 
 /// One scheduled cause on the virtual timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,33 +51,31 @@ enum Ev {
     Release { cpu: usize },
 }
 
-/// Per-virtual-CPU state: the jobs still queued and the session in
-/// flight.
+/// Per-virtual-CPU state: the jobs still queued, the session in
+/// flight, and the intrinsic cost of the sessions it finished this
+/// epoch.
 struct VirtualCpu<A: Architecture> {
     queue: VecDeque<(usize, ConcurrentJob)>,
     current: Option<SessionDriver<A>>,
-    domain: CpuClockDomain,
+    busy: SimDuration,
 }
 
 /// Runs one epoch of the batch on `workers` virtual CPUs driven by the
 /// event queue. Returns the per-job attempts (indexed by job) and each
 /// virtual CPU's busy time for the epoch.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_epoch<A: Architecture>(
     workers: usize,
     n_jobs: usize,
     pending: Vec<(usize, ConcurrentJob)>,
-    rt: &OrderedLock<A::Runtime>,
+    rt: &mut A::Runtime,
     obs: &Obs,
-    clock: &Arc<SharedClock>,
-    epoch: SimTime,
-    mode: WorkerMode<'_>,
+    mut mode: WorkerMode<'_>,
 ) -> Result<(Vec<Option<Attempt>>, Vec<SimDuration>), SeaError> {
     let mut cpus: Vec<VirtualCpu<A>> = (0..workers)
         .map(|_| VirtualCpu {
             queue: VecDeque::new(),
             current: None,
-            domain: CpuClockDomain::at(Arc::clone(clock), epoch),
+            busy: SimDuration::ZERO,
         })
         .collect();
     // Jobs keep their static assignment (job i → virtual CPU
@@ -93,7 +86,7 @@ pub(crate) fn run_epoch<A: Architecture>(
 
     let mut attempts: Vec<Option<Attempt>> = (0..n_jobs).map(|_| None).collect();
     let mut events: EventQueue<Ev> = EventQueue::new();
-    let mut tpm_gate = ShardedTpmArbiter::new();
+    let mut tpm_gate = EventOrderedTpmLock::new();
 
     // The virtual timeline starts at zero each epoch; only its ordering
     // matters (busy/wall accounting uses intrinsic per-job costs).
@@ -104,8 +97,8 @@ pub(crate) fn run_epoch<A: Architecture>(
     }
 
     /// Machine-clock reading for op-duration measurement.
-    fn machine_now<A: Architecture>(rt: &OrderedLock<A::Runtime>) -> SimTime {
-        A::platform(&lock(rt)).machine().now()
+    fn machine_now<A: Architecture>(rt: &A::Runtime) -> SimTime {
+        A::platform(rt).machine().now()
     }
 
     while let Some(event) = events.pop() {
@@ -115,8 +108,8 @@ pub(crate) fn run_epoch<A: Architecture>(
                 let Some((i, job)) = cpus[cpu].queue.pop_front() else {
                     continue;
                 };
-                if let WorkerMode::Durable(ctx) = &mode {
-                    if ctx.crashed.load(Ordering::SeqCst) {
+                if let WorkerMode::Durable(ctx) = &mut mode {
+                    if ctx.crashed {
                         // The platform is already dark; this job never
                         // started (and charges no busy time).
                         attempts[i] = Some(Attempt::Torn(job));
@@ -125,7 +118,7 @@ pub(crate) fn run_epoch<A: Architecture>(
                         }
                         continue;
                     }
-                    lock(ctx.journal).record_intent(i as u64);
+                    ctx.journal.record_intent(i as u64);
                 }
                 let (policy, journaled) = match &mode {
                     WorkerMode::Plain => (None, false),
@@ -181,12 +174,12 @@ pub(crate) fn run_epoch<A: Architecture>(
                         .filter_map(|c| c.current.as_ref().and_then(|d| d.quote_request()))
                         .collect();
                     if cohort.len() > 1 {
-                        A::prepare_quotes(&mut lock(rt), &cohort);
+                        A::prepare_quotes(rt, &cohort);
                     }
                 }
 
-                let journal = match &mode {
-                    WorkerMode::Durable(ctx) => Some(ctx.journal),
+                let journal = match &mut mode {
+                    WorkerMode::Durable(ctx) => Some(&mut ctx.journal),
                     _ => None,
                 };
                 let before = machine_now::<A>(rt);
@@ -202,7 +195,7 @@ pub(crate) fn run_epoch<A: Architecture>(
                 };
                 let done_at = t + elapsed + local;
                 // Contention attribution, in virtual time: every op
-                // holds the runtime lock for its machine-clock charge.
+                // holds the runtime for its machine-clock charge.
                 // (Lock stats live outside the snapshot — see
                 // `sea_hw::RecordingSink::lock_stats` — so this cannot
                 // perturb snapshot parity across worker counts.)
@@ -212,7 +205,7 @@ pub(crate) fn run_epoch<A: Architecture>(
                     // request to this grant is pure arbiter queueing,
                     // charged as `tpm.gate` lock-wait; the command then
                     // holds the TPM until `done_at`.
-                    let requested = tpm_gate.granted().map(|g| g.requested).unwrap_or(t);
+                    let requested = tpm_gate.granted().map_or(t, |g| g.requested);
                     obs.lock_event(
                         "tpm.gate",
                         Layer::Tpm,
@@ -231,10 +224,10 @@ pub(crate) fn run_epoch<A: Architecture>(
                     DriveStep::Terminal(result) => {
                         let driver = cpus[cpu].current.take().expect("terminal session exists");
                         let i = driver.index();
-                        let attempt = match &mode {
+                        let attempt = match &mut mode {
                             WorkerMode::Plain | WorkerMode::Recovered { .. } => {
                                 if let Ok(r) = &result {
-                                    cpus[cpu].domain.advance(r.cost());
+                                    cpus[cpu].busy += r.cost();
                                 }
                                 Attempt::Done(result)
                             }
@@ -248,12 +241,11 @@ pub(crate) fn run_epoch<A: Architecture>(
                                     driver.into_job(),
                                 )?;
                                 if let Attempt::Committed(s) | Attempt::Volatile(s, _) = &attempt {
-                                    cpus[cpu].domain.advance(s.cost());
+                                    cpus[cpu].busy += s.cost();
                                 }
                                 attempt
                             }
                         };
-                        cpus[cpu].domain.publish();
                         attempts[i] = Some(attempt);
                         if let Some(&(next, _)) = cpus[cpu].queue.front() {
                             events.schedule(done_at, next as u64, Ev::Start { cpu });
@@ -279,6 +271,6 @@ pub(crate) fn run_epoch<A: Architecture>(
         }
     }
 
-    let busy = cpus.iter().map(|c| c.domain.busy()).collect();
+    let busy = cpus.iter().map(|c| c.busy).collect();
     Ok((attempts, busy))
 }

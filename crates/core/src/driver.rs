@@ -23,7 +23,6 @@ use crate::engine::Architecture;
 use crate::enhanced::PalStep;
 use crate::error::SeaError;
 use crate::journal::SessionJournal;
-use crate::locks::{lock, OrderedLock};
 use crate::recovery::RetryPolicy;
 use crate::report::SessionReport;
 
@@ -49,15 +48,13 @@ fn killed(index: usize, retries: u32, error: SeaError, wasted: SimDuration) -> S
     }
 }
 
-/// Records a retry: the backoff leaf and counter are emitted *before*
-/// taking the engine lock — the leaf lands on the session's own track
-/// (owned by exactly one worker, ordered by its per-track sequence)
-/// and counters are order-insensitive, so neither needs the lock. Only
-/// the [`TraceEvent::SessionRetried`] record mutates shared state and
-/// still serializes on it. (Backoff burns CPU-local time, never the
-/// shared machine clock, so it is not a `Machine::charge`.)
+/// Records a retry: the backoff leaf lands on the session's own track
+/// and the counter is order-insensitive; the
+/// [`TraceEvent::SessionRetried`] record goes into the machine trace.
+/// (Backoff burns CPU-local time, never the machine clock, so it is
+/// not a `Machine::charge`.)
 fn record_retry<A: Architecture>(
-    rt: &OrderedLock<A::Runtime>,
+    rt: &mut A::Runtime,
     obs: &Obs,
     key: u64,
     attempt: u32,
@@ -65,8 +62,7 @@ fn record_retry<A: Architecture>(
 ) {
     obs.leaf_on(key, Layer::Core, "recovery.backoff", backoff);
     obs.add("core.retries", 1);
-    let mut guard = lock(rt);
-    let machine = A::platform_mut(&mut guard).machine_mut();
+    let machine = A::platform_mut(rt).machine_mut();
     let now = machine.now();
     machine.trace_mut().record(
         now,
@@ -198,7 +194,7 @@ impl<A: Architecture> SessionDriver<A> {
     /// session).
     fn try_absorb(
         &mut self,
-        rt: &OrderedLock<A::Runtime>,
+        rt: &mut A::Runtime,
         obs: &Obs,
         error: &SeaError,
     ) -> Option<SimDuration> {
@@ -221,7 +217,7 @@ impl<A: Architecture> SessionDriver<A> {
     /// the kill's own infrastructure error).
     fn kill_and_finish(
         &mut self,
-        rt: &OrderedLock<A::Runtime>,
+        rt: &mut A::Runtime,
         mut live: A::Live,
         error: SeaError,
     ) -> DriveStep {
@@ -245,9 +241,9 @@ impl<A: Architecture> SessionDriver<A> {
     /// `launched` record in the same advance as the successful launch.
     pub(crate) fn advance(
         &mut self,
-        rt: &OrderedLock<A::Runtime>,
+        rt: &mut A::Runtime,
         obs: &Obs,
-        journal: Option<&OrderedLock<SessionJournal>>,
+        journal: Option<&mut SessionJournal>,
     ) -> DriveStep {
         let key = self.key();
         match std::mem::replace(&mut self.phase, Phase::Done) {
@@ -257,7 +253,7 @@ impl<A: Architecture> SessionDriver<A> {
                         Ok(live) => {
                             if self.journaled {
                                 if let Some(journal) = journal {
-                                    lock(journal).record_launched(self.index as u64);
+                                    journal.record_launched(self.index as u64);
                                 }
                             }
                             self.phase = Phase::Step(live);
@@ -297,17 +293,14 @@ impl<A: Architecture> SessionDriver<A> {
                 // pages back — but the death is still a recovery
                 // decision, so the trace pairs the injected fault with
                 // a kill like every other path.
-                {
-                    let mut guard = lock(rt);
-                    let machine = A::platform_mut(&mut guard).machine_mut();
-                    let now = machine.now();
-                    machine.trace_mut().record(
-                        now,
-                        TraceEvent::SessionKilled {
-                            session: self.index as u64,
-                        },
-                    );
-                }
+                let machine = A::platform_mut(rt).machine_mut();
+                let now = machine.now();
+                machine.trace_mut().record(
+                    now,
+                    TraceEvent::SessionKilled {
+                        session: self.index as u64,
+                    },
+                );
                 DriveStep::Terminal(Ok(killed(
                     self.index,
                     self.retries,

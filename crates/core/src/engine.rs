@@ -33,27 +33,26 @@
 //! # Determinism
 //!
 //! Job *i* runs on virtual CPU `i % workers`, per-job costs are
-//! intrinsic, per-CPU busy time folds into the shared timeline via a
+//! intrinsic, per-CPU busy time folds into the engine's timeline via a
 //! max, and results return in job-index order — so session results and
 //! quotes are byte-identical across worker counts. With one worker the
 //! event timeline is the serial schedule, which makes the one-worker
 //! run the reference every wider run is compared against
 //! (`tests/golden_differential.rs`, `tests/executor_differential.rs`).
 //!
-//! # Lock scope
+//! # Ownership
 //!
-//! The shared runtime is locked **per operation**, never per job. The
-//! [`OrderedLock`] ranks keep the nesting of the commit gate and the
-//! recovery path honest, and the lock events the executor records
-//! (`core.runtime`, `tpm.gate`, `journal.seal`) attribute virtual-time
-//! contention per lock class.
+//! The engine owns its runtime by value and lends it to one operation
+//! at a time as `&mut`, so exclusive access is checked by the borrow
+//! checker at compile time rather than by locks at run time. The lock
+//! events the executor records (`core.runtime`, `tpm.gate`,
+//! `journal.seal`) are virtual-time meters of the *modelled* hardware's
+//! serialization, per class; no host lock stands behind them.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use sea_hw::{
-    CpuId, FaultPlan, Layer, Obs, ResetPlan, SharedClock, SimDuration, SimTime, TraceEvent,
+    CpuId, FaultPlan, Layer, Obs, ResetPlan, SimClock, SimDuration, SimTime, TraceEvent,
     PLATFORM_TRACK,
 };
 use sea_tpm::{Quote, SealedBlob, Timed};
@@ -64,7 +63,6 @@ use crate::enhanced::{EnhancedSea, PalId, PalStep};
 use crate::error::SeaError;
 use crate::journal::SessionJournal;
 use crate::legacy::LegacySea;
-use crate::locks::{lock, LockRank, OrderedLock};
 use crate::pal::PalLogic;
 use crate::platform::SecurePlatform;
 use crate::recovery::RetryPolicy;
@@ -154,18 +152,19 @@ impl SessionTally {
 ///
 /// The engine drives every architecture through the same sequence —
 /// launch, step/resume to exit, report, quote — and the architecture
-/// maps each step onto its primitives. Operations take the runtime
-/// behind an [`OrderedLock`] and lock it **per operation**, so concurrent
-/// sessions genuinely interleave on a shared runtime.
+/// maps each step onto its primitives. Each operation borrows the
+/// runtime mutably for exactly its own duration, so the executor can
+/// interleave many live sessions on one runtime one operation at a
+/// time.
 ///
 /// `key` is `Some` when the recovery layer drives the session (keyed
 /// operations roll injected faults and pin obs tracks) and `None` on
 /// the plain fast path.
-pub trait Architecture: Send + Sync + 'static {
-    /// The shared engine state (one per platform).
-    type Runtime: Send;
+pub trait Architecture: 'static {
+    /// The engine's runtime state (one per platform).
+    type Runtime;
     /// Handle to one live session.
-    type Live: Send;
+    type Live;
 
     /// Architecture name, for diagnostics and policy errors.
     const NAME: &'static str;
@@ -195,7 +194,7 @@ pub trait Architecture: Send + Sync + 'static {
 
     /// Launches a session for `logic` on `cpu`.
     fn launch(
-        rt: &OrderedLock<Self::Runtime>,
+        rt: &mut Self::Runtime,
         logic: &mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
@@ -204,7 +203,7 @@ pub trait Architecture: Send + Sync + 'static {
 
     /// Runs the session until it yields or exits.
     fn step(
-        rt: &OrderedLock<Self::Runtime>,
+        rt: &mut Self::Runtime,
         live: &mut Self::Live,
         logic: &mut dyn PalLogic,
         key: Option<u64>,
@@ -212,21 +211,18 @@ pub trait Architecture: Send + Sync + 'static {
 
     /// Resumes a yielded session on `cpu`.
     fn resume(
-        rt: &OrderedLock<Self::Runtime>,
+        rt: &mut Self::Runtime,
         live: &mut Self::Live,
         cpu: CpuId,
         key: Option<u64>,
     ) -> Result<(), SeaError>;
 
     /// The exited session's cost breakdown.
-    fn report(
-        rt: &OrderedLock<Self::Runtime>,
-        live: &Self::Live,
-    ) -> Result<SessionReport, SeaError>;
+    fn report(rt: &mut Self::Runtime, live: &Self::Live) -> Result<SessionReport, SeaError>;
 
     /// Attests the exited session over `nonce` and retires it.
     fn quote(
-        rt: &OrderedLock<Self::Runtime>,
+        rt: &mut Self::Runtime,
         live: &mut Self::Live,
         nonce: &[u8],
         key: Option<u64>,
@@ -242,17 +238,13 @@ pub trait Architecture: Send + Sync + 'static {
     fn prepare_quotes(_rt: &mut Self::Runtime, _cohort: &[(&Self::Live, [u8; 8])]) {}
 
     /// Tears a session down mid-flight, reclaiming its resources.
-    fn kill(
-        rt: &OrderedLock<Self::Runtime>,
-        live: &mut Self::Live,
-        key: u64,
-    ) -> Result<(), SeaError>;
+    fn kill(rt: &mut Self::Runtime, live: &mut Self::Live, key: u64) -> Result<(), SeaError>;
 
     /// Runs `logic` to completion on the architecture's degraded slow
     /// path (no per-session attestation). Only reachable where session
     /// slots can saturate.
     fn degrade(
-        rt: &OrderedLock<Self::Runtime>,
+        rt: &mut Self::Runtime,
         logic: &mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
@@ -296,55 +288,55 @@ impl Architecture for Slaunch {
     }
 
     fn launch(
-        rt: &OrderedLock<EnhancedSea>,
+        rt: &mut EnhancedSea,
         logic: &mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
         key: Option<u64>,
     ) -> Result<PalId, SeaError> {
         match key {
-            None => lock(rt).slaunch(logic, input, cpu, None),
-            Some(key) => lock(rt).slaunch_keyed(logic, input, cpu, None, key),
+            None => rt.slaunch(logic, input, cpu, None),
+            Some(key) => rt.slaunch_keyed(logic, input, cpu, None, key),
         }
     }
 
     fn step(
-        rt: &OrderedLock<EnhancedSea>,
+        rt: &mut EnhancedSea,
         live: &mut PalId,
         logic: &mut dyn PalLogic,
         key: Option<u64>,
     ) -> Result<PalStep, SeaError> {
         match key {
-            None => lock(rt).step(logic, *live),
-            Some(key) => lock(rt).step_keyed(logic, *live, key),
+            None => rt.step(logic, *live),
+            Some(key) => rt.step_keyed(logic, *live, key),
         }
     }
 
     fn resume(
-        rt: &OrderedLock<EnhancedSea>,
+        rt: &mut EnhancedSea,
         live: &mut PalId,
         cpu: CpuId,
         key: Option<u64>,
     ) -> Result<(), SeaError> {
         match key {
-            None => lock(rt).resume(*live, cpu),
-            Some(key) => lock(rt).resume_keyed(*live, cpu, key),
+            None => rt.resume(*live, cpu),
+            Some(key) => rt.resume_keyed(*live, cpu, key),
         }
     }
 
-    fn report(rt: &OrderedLock<EnhancedSea>, live: &PalId) -> Result<SessionReport, SeaError> {
-        lock(rt).report(*live)
+    fn report(rt: &mut EnhancedSea, live: &PalId) -> Result<SessionReport, SeaError> {
+        rt.report(*live)
     }
 
     fn quote(
-        rt: &OrderedLock<EnhancedSea>,
+        rt: &mut EnhancedSea,
         live: &mut PalId,
         nonce: &[u8],
         key: Option<u64>,
     ) -> Result<Timed<Quote>, SeaError> {
         match key {
-            None => lock(rt).quote_and_free(*live, nonce),
-            Some(key) => lock(rt).quote_and_free_keyed(*live, nonce, key),
+            None => rt.quote_and_free(*live, nonce),
+            Some(key) => rt.quote_and_free_keyed(*live, nonce, key),
         }
     }
 
@@ -352,24 +344,23 @@ impl Architecture for Slaunch {
         rt.prepare_quotes(cohort);
     }
 
-    fn kill(rt: &OrderedLock<EnhancedSea>, live: &mut PalId, key: u64) -> Result<(), SeaError> {
-        lock(rt).kill_session(*live, key)
+    fn kill(rt: &mut EnhancedSea, live: &mut PalId, key: u64) -> Result<(), SeaError> {
+        rt.kill_session(*live, key)
     }
 
     fn degrade(
-        rt: &OrderedLock<EnhancedSea>,
+        rt: &mut EnhancedSea,
         logic: &mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
         key: u64,
     ) -> Result<(Vec<u8>, SessionReport), SeaError> {
         // The fallback is not a keyed engine op, so pin the track and
-        // lifecycle frame here, under the same engine lock.
-        let mut guard = lock(rt);
-        let obs = guard.platform().machine().obs().clone();
+        // lifecycle frame here.
+        let obs = rt.platform().machine().obs().clone();
         obs.set_track(key);
         obs.open(Layer::Core, "session.fallback");
-        let done = guard.run_legacy_fallback(logic, input, cpu);
+        let done = rt.run_legacy_fallback(logic, input, cpu);
         obs.close();
         obs.add("core.degraded", 1);
         let done = done?;
@@ -426,7 +417,7 @@ impl Architecture for Skinit {
     }
 
     fn launch(
-        rt: &OrderedLock<LegacySea>,
+        rt: &mut LegacySea,
         logic: &mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
@@ -436,7 +427,7 @@ impl Architecture for Skinit {
         // launch, run to completion, unseal/seal state, resume. The
         // target CPU is moot — every other CPU is forcibly idled.
         let _ = cpu;
-        let done = lock(rt).run_session(logic, input)?;
+        let done = rt.run_session(logic, input)?;
         Ok(SkinitLive {
             output: done.output.unwrap_or_default(),
             report: done.report,
@@ -444,7 +435,7 @@ impl Architecture for Skinit {
     }
 
     fn step(
-        _rt: &OrderedLock<LegacySea>,
+        _rt: &mut LegacySea,
         live: &mut SkinitLive,
         _logic: &mut dyn PalLogic,
         _key: Option<u64>,
@@ -455,7 +446,7 @@ impl Architecture for Skinit {
     }
 
     fn resume(
-        _rt: &OrderedLock<LegacySea>,
+        _rt: &mut LegacySea,
         _live: &mut SkinitLive,
         _cpu: CpuId,
         _key: Option<u64>,
@@ -464,32 +455,28 @@ impl Architecture for Skinit {
         Ok(())
     }
 
-    fn report(_rt: &OrderedLock<LegacySea>, live: &SkinitLive) -> Result<SessionReport, SeaError> {
+    fn report(_rt: &mut LegacySea, live: &SkinitLive) -> Result<SessionReport, SeaError> {
         Ok(live.report)
     }
 
     fn quote(
-        rt: &OrderedLock<LegacySea>,
+        rt: &mut LegacySea,
         _live: &mut SkinitLive,
         nonce: &[u8],
         _key: Option<u64>,
     ) -> Result<Timed<Quote>, SeaError> {
         // Legacy attestation covers the platform's static PCRs — there
         // is no per-session sePCR to free.
-        lock(rt).quote(nonce)
+        rt.quote(nonce)
     }
 
-    fn kill(
-        _rt: &OrderedLock<LegacySea>,
-        _live: &mut SkinitLive,
-        _key: u64,
-    ) -> Result<(), SeaError> {
+    fn kill(_rt: &mut LegacySea, _live: &mut SkinitLive, _key: u64) -> Result<(), SeaError> {
         // Teardown already happened inside the atomic launch.
         Ok(())
     }
 
     fn degrade(
-        _rt: &OrderedLock<LegacySea>,
+        _rt: &mut LegacySea,
         _logic: &mut dyn PalLogic,
         _input: &[u8],
         _cpu: CpuId,
@@ -537,7 +524,7 @@ impl Stage for Sealed {}
 /// [`Session::step`] / [`Session::resume`] / [`Session::quote_and_free`].
 /// Transitions Figure 6 lacks do not compile.
 pub struct Session<'e, A: Architecture, S: Stage> {
-    rt: &'e OrderedLock<A::Runtime>,
+    rt: &'e mut A::Runtime,
     logic: &'e mut dyn PalLogic,
     live: A::Live,
     cpu: CpuId,
@@ -594,7 +581,7 @@ impl<'e, A: Architecture, S: Stage> Session<'e, A, S> {
 impl<'e, A: Architecture> Session<'e, A, Launched> {
     /// Launches a session: the entry edge of the lifecycle.
     fn start(
-        rt: &'e OrderedLock<A::Runtime>,
+        rt: &'e mut A::Runtime,
         logic: &'e mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
@@ -868,68 +855,83 @@ impl ResetTriggers {
     }
 }
 
-/// Shared context for one durable epoch: the journal, the reset
-/// triggers, and the crash flag every worker/virtual CPU consults.
-#[derive(Clone, Copy)]
-pub(crate) struct DurableCtx<'a> {
+/// The durable batch's state, lent to each epoch as `&mut`: the
+/// journal, the reset triggers and the seal overhead carry across
+/// epochs; `crashed` and `pending_seals` are volatile and
+/// [`DurableCtx::begin_epoch`] clears them.
+pub(crate) struct DurableCtx {
     /// The retry budget and backoff schedule.
     pub(crate) retry: RetryPolicy,
     /// Resets already survived (the power-loss roll's epoch key).
-    pub(crate) reset_epoch: u64,
+    reset_epoch: u64,
     /// The write-ahead journal.
-    pub(crate) journal: &'a OrderedLock<SessionJournal>,
+    pub(crate) journal: SessionJournal,
     /// Power-loss decision state.
-    pub(crate) triggers: &'a OrderedLock<ResetTriggers>,
+    triggers: ResetTriggers,
     /// Accumulated checkpoint-seal time.
-    pub(crate) journal_overhead: &'a OrderedLock<SimDuration>,
+    journal_overhead: SimDuration,
     /// Set when the cord is yanked; later commits observe it and tear.
-    pub(crate) crashed: &'a AtomicBool,
+    pub(crate) crashed: bool,
     /// Terminal commits batched per NVRAM seal (group commit; ≥ 1).
-    pub(crate) group: usize,
+    group: usize,
     /// Commits journaled since the last seal; sealing resets it. Lives
-    /// beside `crashed` in the epoch loop, so a crash discards the
-    /// buffer exactly as it discards unsealed journal state.
-    pub(crate) pending_seals: &'a AtomicUsize,
+    /// beside `crashed`, so a crash discards the buffer exactly as it
+    /// discards unsealed journal state.
+    pending_seals: usize,
 }
 
-impl DurableCtx<'_> {
-    /// The commit gate for one terminal session. Holding the engine
-    /// lock makes the read of the trace counter, the reset decision,
-    /// and the NVRAM checkpoint one atomic boundary — no other
-    /// worker can slip a commit in between. (This is the one place obs
-    /// emission stays under the lock: the journal spans land on the
-    /// shared PLATFORM_TRACK, so their ordering must serialize with
-    /// the commits.)
+impl DurableCtx {
+    fn new(retry: RetryPolicy, plan: ResetPlan, group: usize) -> Self {
+        DurableCtx {
+            retry,
+            reset_epoch: 0,
+            journal: SessionJournal::new(),
+            triggers: ResetTriggers::new(plan),
+            journal_overhead: SimDuration::ZERO,
+            crashed: false,
+            group,
+            pending_seals: 0,
+        }
+    }
+
+    /// Opens the epoch after `resets` survived resets: the platform is
+    /// powered and the group-commit buffer is empty.
+    fn begin_epoch(&mut self, resets: u32) {
+        self.reset_epoch = resets as u64;
+        self.crashed = false;
+        self.pending_seals = 0;
+    }
+
+    /// The commit gate for one terminal session: the read of the trace
+    /// counter, the reset decision and the NVRAM checkpoint form one
+    /// boundary. The journal spans land on the shared PLATFORM_TRACK,
+    /// so their ordering follows the commits.
     ///
     /// The executor runs the gate at the session's terminal event, in
     /// event order.
     pub(crate) fn commit_gate<A: Architecture>(
-        &self,
-        rt: &OrderedLock<A::Runtime>,
+        &mut self,
+        rt: &mut A::Runtime,
         obs: &Obs,
         key: u64,
         session: SessionResult,
         job: ConcurrentJob,
     ) -> Result<Attempt, SeaError> {
-        let mut guard = lock(rt);
-        if self.crashed.load(Ordering::SeqCst) {
+        if self.crashed {
             return Ok(Attempt::Torn(job));
         }
         let (recorded, now) = {
-            let machine = A::platform(&guard).machine();
+            let machine = A::platform(rt).machine();
             (machine.trace().recorded(), machine.now())
         };
-        let fire = lock(self.triggers).check(self.reset_epoch, key, recorded, now);
-        if fire {
+        if self.triggers.check(self.reset_epoch, key, recorded, now) {
             // The cord is yanked before this record reaches NVRAM: the
             // committing session is torn too.
-            self.crashed.store(true, Ordering::SeqCst);
+            self.crashed = true;
             return Ok(Attempt::Torn(job));
         }
-        let mut wal = lock(self.journal);
-        wal.commit(key, &session);
+        self.journal.commit(key, &session);
         if session.is_killed() {
-            drop(wal);
             return Ok(Attempt::Volatile(session, job));
         }
         // Group commit: buffer journaled terminals until the group
@@ -939,20 +941,16 @@ impl DurableCtx<'_> {
         // deterministically re-derived) if the power fails first. At
         // `group == 1` this branch is unreachable and every commit
         // seals, byte-identical to the pre-group engine.
-        let buffered = self.pending_seals.fetch_add(1, Ordering::SeqCst) + 1;
-        if buffered < self.group {
-            drop(wal);
+        self.pending_seals += 1;
+        if self.pending_seals < self.group {
             obs.add("journal.buffered", 1);
             return Ok(Attempt::Volatile(session, job));
         }
-        self.pending_seals.store(0, Ordering::SeqCst);
-        let bytes = wal.to_bytes();
-        drop(wal);
+        self.pending_seals = 0;
+        let bytes = self.journal.to_bytes();
         // Seal to the empty PCR selection: the blob must unseal on the
         // rebooted platform, whose PCRs have all reset.
-        let tpm = A::platform_mut(&mut guard)
-            .tpm_mut()
-            .ok_or(SeaError::NoTpm)?;
+        let tpm = A::platform_mut(rt).tpm_mut().ok_or(SeaError::NoTpm)?;
         let sealed = tpm.seal(&bytes, &[])?;
         tpm.nvram_mut()
             .store_blob(JOURNAL_NV_INDEX, &sealed.value.to_bytes());
@@ -961,7 +959,7 @@ impl DurableCtx<'_> {
         obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.seal", sealed.elapsed);
         obs.add("journal.commits", 1);
         // Contention attribution: the seal is the long pole of the
-        // commit gate's engine-lock hold (pure sums, so it cannot
+        // commit gate's hold on the platform (pure sums, so it cannot
         // perturb snapshot parity).
         obs.lock_event(
             "journal.seal",
@@ -969,14 +967,13 @@ impl DurableCtx<'_> {
             SimDuration::ZERO,
             sealed.elapsed,
         );
-        *lock(self.journal_overhead) += sealed.elapsed;
+        self.journal_overhead += sealed.elapsed;
         Ok(Attempt::Committed(session))
     }
 }
 
 /// How one epoch's workers drive their jobs, resolved once from the
 /// [`BatchPolicy`].
-#[derive(Clone, Copy)]
 pub(crate) enum WorkerMode<'a> {
     /// Fast path: unkeyed lifecycle, errors surface per job.
     Plain,
@@ -987,12 +984,12 @@ pub(crate) enum WorkerMode<'a> {
     },
     /// Recovered driving plus write-ahead journaling and a power-loss
     /// gate at each session commit.
-    Durable(DurableCtx<'a>),
+    Durable(&'a mut DurableCtx),
 }
 
 /// The unified batch engine: `workers` virtual CPUs (worker *k* plays
-/// CPU *k*) driving sessions of architecture `A` against **one shared**
-/// runtime, with batch behavior composed from a [`BatchPolicy`].
+/// CPU *k*) driving sessions of architecture `A` against the one
+/// runtime it owns, with batch behavior composed from a [`BatchPolicy`].
 ///
 /// # Example
 ///
@@ -1018,8 +1015,8 @@ pub(crate) enum WorkerMode<'a> {
 /// assert!(outcome.speedup() > 1.0);
 /// ```
 pub struct SessionEngine<A: Architecture = Slaunch> {
-    rt: OrderedLock<A::Runtime>,
-    clock: Arc<SharedClock>,
+    rt: A::Runtime,
+    clock: SimClock,
     workers: usize,
 }
 
@@ -1058,8 +1055,8 @@ impl<A: Architecture> SessionEngine<A> {
         }
         let rt = A::boot(platform)?;
         Ok(SessionEngine {
-            rt: OrderedLock::new(LockRank::Runtime, rt),
-            clock: Arc::new(SharedClock::new()),
+            rt,
+            clock: SimClock::new(),
             workers,
         })
     }
@@ -1076,46 +1073,50 @@ impl<A: Architecture> SessionEngine<A> {
         self
     }
 
-    /// Installs the observability handle into the shared runtime's
-    /// machine: every keyed session operation then emits lifecycle
-    /// spans and attributed charges on the session's own track.
-    pub fn install_obs(&self, obs: Obs) {
-        A::platform_mut(&mut lock(&self.rt)).install_obs(obs);
+    /// Installs the observability handle into the runtime's machine:
+    /// every keyed session operation then emits lifecycle spans and
+    /// attributed charges on the session's own track.
+    pub fn install_obs(&mut self, obs: Obs) {
+        A::platform_mut(&mut self.rt).install_obs(obs);
     }
 
-    /// The shared runtime's observability handle (null unless
+    /// The runtime's observability handle (null unless
     /// [`SessionEngine::install_obs`] was called).
     pub fn obs(&self) -> Obs {
-        A::platform(&lock(&self.rt)).machine().obs().clone()
+        A::platform(&self.rt).machine().obs().clone()
     }
 
-    /// The shared virtual clock the batch timeline folds into.
-    pub fn clock(&self) -> &Arc<SharedClock> {
+    /// The virtual clock the batch timeline folds into: after each
+    /// epoch it reads the epoch's start plus the busiest CPU's busy
+    /// time.
+    pub fn clock(&self) -> &SimClock {
         &self.clock
     }
 
-    /// Installs (or clears) a deterministic fault plan on the shared
+    /// Installs (or clears) a deterministic fault plan on the
     /// runtime. Only keyed (retry-policy) sessions are exposed to it;
     /// each job rolls faults against its own batch index, so serial
     /// and parallel runs of the same batch see identical injections.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        A::set_fault_plan(&mut lock(&self.rt), plan);
+        A::set_fault_plan(&mut self.rt, plan);
     }
 
     /// Launches one session by hand, returning the typestate handle
-    /// for step-by-step driving (outside any batch).
+    /// for step-by-step driving (outside any batch). The handle borrows
+    /// the engine mutably until it is retired, so hand-driven sessions
+    /// run one at a time.
     ///
     /// # Errors
     ///
     /// Whatever the architecture's launch primitive raises.
     pub fn launch<'e>(
-        &'e self,
+        &'e mut self,
         logic: &'e mut dyn PalLogic,
         input: &[u8],
         cpu: CpuId,
         index: usize,
     ) -> Result<Session<'e, A, Launched>, SeaError> {
-        Session::start(&self.rt, logic, input, cpu, index, None)
+        Session::start(&mut self.rt, logic, input, cpu, index, None)
     }
 
     /// Runs a batch of jobs to completion across the workers under
@@ -1123,8 +1124,8 @@ impl<A: Architecture> SessionEngine<A> {
     ///
     /// Job *i* is statically assigned to worker `i % workers` (across
     /// relaunch epochs too, so a relaunched session lands on the same
-    /// CPU as crash-free); the shared runtime is locked per
-    /// *operation*, so sessions genuinely overlap.
+    /// CPU as crash-free); the executor interleaves sessions one
+    /// architecture operation at a time, so they genuinely overlap.
     ///
     /// # Errors
     ///
@@ -1185,18 +1186,20 @@ impl<A: Architecture> SessionEngine<A> {
             // The journal checkpoint in NVRAM belongs to one batch: a
             // crash before this batch's first seal must recover an
             // empty journal, never an earlier batch's results.
-            A::platform_mut(&mut lock(&self.rt))
+            A::platform_mut(&mut self.rt)
                 .tpm_mut()
                 .ok_or(SeaError::NoTpm)?
                 .nvram_mut()
                 .delete_blob(JOURNAL_NV_INDEX);
         }
 
-        let journal = OrderedLock::new(LockRank::Journal, SessionJournal::new());
-        let triggers = policy
-            .durability()
-            .map(|plan| OrderedLock::new(LockRank::Triggers, ResetTriggers::new(plan.clone())));
-        let journal_overhead = OrderedLock::new(LockRank::Accounting, SimDuration::ZERO);
+        let mut durable = policy.durability().map(|plan| {
+            DurableCtx::new(
+                retry.unwrap_or_default(),
+                plan.clone(),
+                policy.group_commit(),
+            )
+        });
         let mut cpu_busy = vec![SimDuration::ZERO; workers];
         let mut final_slots: Vec<Option<Result<SessionResult, SeaError>>> =
             (0..n_jobs).map(|_| None).collect();
@@ -1207,29 +1210,14 @@ impl<A: Architecture> SessionEngine<A> {
         let mut recovery_latency = SimDuration::ZERO;
 
         loop {
-            let crashed = AtomicBool::new(false);
-            // Per-epoch like `crashed`: a crash discards the unsealed
-            // group-commit buffer along with the rest of volatile state.
-            let pending_seals = AtomicUsize::new(0);
-            // Every domain anchors at the epoch's start: reading the
-            // clock inside each virtual CPU would skew later domains by
-            // however far an earlier sibling had already published.
             let epoch = self.clock.now();
-            let reset_epoch = resets as u64;
-            // One obs handle for the whole epoch, cloned up front so the
-            // hot path never locks the runtime just to reach the sink.
+            // One obs handle for the whole epoch, cloned up front.
             let obs = self.obs();
-            let mode = match (retry, &triggers) {
-                (r, Some(triggers)) => WorkerMode::Durable(DurableCtx {
-                    retry: r.unwrap_or_default(),
-                    reset_epoch,
-                    journal: &journal,
-                    triggers,
-                    journal_overhead: &journal_overhead,
-                    crashed: &crashed,
-                    group: policy.group_commit(),
-                    pending_seals: &pending_seals,
-                }),
+            let mode = match (retry, durable.as_mut()) {
+                (_, Some(ctx)) => {
+                    ctx.begin_epoch(resets);
+                    WorkerMode::Durable(ctx)
+                }
                 (Some(retry), None) => WorkerMode::Recovered { retry },
                 (None, None) => WorkerMode::Plain,
             };
@@ -1239,21 +1227,17 @@ impl<A: Architecture> SessionEngine<A> {
             // order they were submitted or re-queued in.
             pending.sort_unstable_by_key(|(i, _)| *i);
             let pending_epoch = std::mem::take(&mut pending);
-            let (attempts, busy) = des::run_epoch::<A>(
-                workers,
-                n_jobs,
-                pending_epoch,
-                &self.rt,
-                &obs,
-                &self.clock,
-                epoch,
-                mode,
-            )?;
+            let (attempts, busy) =
+                des::run_epoch::<A>(workers, n_jobs, pending_epoch, &mut self.rt, &obs, mode)?;
+            // Nothing reads the clock inside an epoch, so it joins the
+            // busiest CPU's timeline once, at the epoch's end.
+            let busiest = busy.iter().copied().max().unwrap_or(SimDuration::ZERO);
+            self.clock.advance_to(epoch + busiest);
             for (k, b) in busy.into_iter().enumerate() {
                 cpu_busy[k] += b;
             }
 
-            if !crashed.load(Ordering::SeqCst) {
+            let Some(ctx) = durable.as_mut().filter(|ctx| ctx.crashed) else {
                 // Clean epoch: every surviving attempt is final.
                 for (i, attempt) in attempts.into_iter().enumerate() {
                     match attempt {
@@ -1268,18 +1252,17 @@ impl<A: Architecture> SessionEngine<A> {
                     }
                 }
                 break;
-            }
+            };
 
             // Power loss (durable mode only). Reboot the platform, then
             // rebuild the world from the sealed journal alone — every
             // in-memory result past the last checkpoint is discarded,
             // exactly as a real crash would lose it.
             resets += 1;
-            let mut guard = lock(&self.rt);
             obs.add("journal.resets", 1);
-            recovery_latency += A::power_cycle(&mut guard);
+            recovery_latency += A::power_cycle(&mut self.rt);
             let recovered = {
-                let tpm = A::platform_mut(&mut guard)
+                let tpm = A::platform_mut(&mut self.rt)
                     .tpm_mut()
                     .ok_or(SeaError::NoTpm)?;
                 match tpm.nvram().read_blob(JOURNAL_NV_INDEX).map(<[u8]>::to_vec) {
@@ -1302,7 +1285,7 @@ impl<A: Architecture> SessionEngine<A> {
                     .ok_or(SeaError::JournalCorrupt("session key out of range"))?;
                 *slot = Some(Ok(session));
             }
-            *lock(&journal) = recovered;
+            ctx.journal = recovered;
 
             // Everything without a checkpointed terminal relaunches.
             relaunched.clear();
@@ -1317,7 +1300,7 @@ impl<A: Architecture> SessionEngine<A> {
                 }
             }
             obs.add("journal.relaunches", pending.len() as u64);
-            let machine = A::platform_mut(&mut guard).machine_mut();
+            let machine = A::platform_mut(&mut self.rt).machine_mut();
             for (i, _) in &pending {
                 let now = machine.now();
                 machine
@@ -1326,7 +1309,7 @@ impl<A: Architecture> SessionEngine<A> {
             }
         }
 
-        let journal_overhead = journal_overhead.into_inner();
+        let journal_overhead = durable.map_or(SimDuration::ZERO, |ctx| ctx.journal_overhead);
         let mut sessions = Vec::with_capacity(n_jobs);
         for slot in final_slots {
             let result = slot.ok_or(SeaError::EngineFault("job result slot left unfilled"))?;
@@ -1349,9 +1332,9 @@ impl<A: Architecture> SessionEngine<A> {
         })
     }
 
-    /// Tears the engine down, returning the shared runtime (e.g. to
-    /// inspect the platform's final state in tests).
+    /// Tears the engine down, returning the runtime (e.g. to inspect
+    /// the platform's final state in tests).
     pub fn into_inner(self) -> A::Runtime {
-        self.rt.into_inner()
+        self.rt
     }
 }

@@ -69,7 +69,6 @@ mod enhanced;
 mod error;
 mod journal;
 mod legacy;
-pub mod locks;
 mod pal;
 mod pioneer;
 mod platform;
@@ -89,7 +88,6 @@ pub use enhanced::{EnhancedSea, PalDone, PalId, PalStep};
 pub use error::SeaError;
 pub use journal::{JournalEntry, SessionJournal};
 pub use legacy::{LegacySea, LegacySessionResult};
-pub use locks::{Held, LockRank, OrderedLock};
 pub use pal::{FnPal, PalCtx, PalLogic, PalOutcome};
 pub use pioneer::{
     checksum as pioneer_checksum, forged_duration, honest_duration, PioneerChallenge,

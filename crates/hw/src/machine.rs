@@ -601,8 +601,8 @@ mod tests {
 
     #[test]
     fn machine_is_send_sync() {
-        // The concurrent session engine moves whole platforms across
-        // worker threads; all state must be owned data.
+        // Fleet shards and suite workers run whole platforms on their
+        // own OS threads; all state must be owned data.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Machine>();
     }

@@ -23,12 +23,12 @@
 //!   work (resets, journal checkpoints) lands on [`PLATFORM_TRACK`].
 //!   Span offsets are *track-relative*, never absolute machine time, so
 //!   a 4-worker batch records byte-identical tracks to a 1-worker run
-//!   even though the shared clock interleaves differently.
+//!   even though the machine clock interleaves differently.
 //!
 //! Everything is integer nanoseconds; no floats, no wall-clock reads,
-//! no allocation on the null path. Sinks are `Send + Sync`, so
-//! `SessionEngine` workers emit through the same handle they already
-//! serialize on (the engine lock).
+//! no allocation on the null path. Sinks are `Send + Sync`, so suite
+//! workers and fleet shards on separate OS threads can record into one
+//! sink.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -470,10 +470,10 @@ impl ParallelScheduler {
         self.pool.workers()
     }
 
-    /// Installs the observability handle into the pool's shared engine.
+    /// Installs the observability handle into the pool's engine.
     /// The scheduler then emits `os.*` counters (queue depth, dispatch,
     /// relaunch, reset) alongside the engine's session spans.
-    pub fn install_obs(&self, obs: sea_hw::Obs) {
+    pub fn install_obs(&mut self, obs: sea_hw::Obs) {
         self.pool.install_obs(obs);
     }
 

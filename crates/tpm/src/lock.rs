@@ -9,70 +9,17 @@ use sea_hw::{CpuId, SimTime};
 
 use crate::error::TpmError;
 
-/// The proposed hardware TPM lock.
+/// One granted TPM command slot: who won, and when they asked.
 ///
-/// # Example
-///
-/// ```
-/// use sea_tpm::TpmLock;
-/// use sea_hw::CpuId;
-///
-/// let mut lock = TpmLock::new();
-/// lock.acquire(CpuId(0)).unwrap();
-/// assert!(lock.acquire(CpuId(1)).is_err()); // other CPUs must wait
-/// lock.release(CpuId(0)).unwrap();
-/// assert!(lock.acquire(CpuId(1)).is_ok());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TpmLock {
-    holder: Option<CpuId>,
-}
-
-impl TpmLock {
-    /// Creates an unheld lock.
-    pub fn new() -> Self {
-        TpmLock { holder: None }
-    }
-
-    /// The CPU currently holding the lock, if any.
-    pub fn holder(&self) -> Option<CpuId> {
-        self.holder
-    }
-
-    /// Attempts to take the lock for `cpu`. Re-acquisition by the current
-    /// holder is a no-op (the hardware sees one requester).
-    ///
-    /// # Errors
-    ///
-    /// [`TpmError::LockHeld`] if another CPU holds the lock — the caller
-    /// "wait\[s\] until the TPM is free to attempt communication".
-    pub fn acquire(&mut self, cpu: CpuId) -> Result<(), TpmError> {
-        match self.holder {
-            None => {
-                self.holder = Some(cpu);
-                Ok(())
-            }
-            Some(h) if h == cpu => Ok(()),
-            Some(h) => Err(TpmError::LockHeld { holder: h }),
-        }
-    }
-
-    /// Releases the lock.
-    ///
-    /// # Errors
-    ///
-    /// [`TpmError::LockHeld`] if `cpu` is not the holder (a CPU cannot
-    /// release another CPU's lock).
-    pub fn release(&mut self, cpu: CpuId) -> Result<(), TpmError> {
-        match self.holder {
-            Some(h) if h == cpu => {
-                self.holder = None;
-                Ok(())
-            }
-            Some(h) => Err(TpmError::LockHeld { holder: h }),
-            None => Ok(()),
-        }
-    }
+/// The request stamp is what turns the arbiter into an observability
+/// source — `grant time - requested` is exactly the virtual time the CPU
+/// spent queued behind other TPM commands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TpmGrant {
+    /// The CPU the TPM is granted to.
+    pub cpu: CpuId,
+    /// The virtual instant that CPU filed its request.
+    pub requested: SimTime,
 }
 
 /// The hardware TPM lock as a *virtual-time* resource: CPUs file
@@ -97,14 +44,16 @@ impl TpmLock {
 /// arbiter.request(SimTime::from_ns(10), CpuId(3));
 /// arbiter.request(SimTime::from_ns(10), CpuId(2));
 /// // Earliest request wins; equal times resolve to the lower CPU id.
-/// assert_eq!(arbiter.grant(), Some(CpuId(2)));
+/// let grant = arbiter.grant().unwrap();
+/// assert_eq!(grant.cpu, CpuId(2));
+/// assert_eq!(grant.requested, SimTime::from_ns(10));
 /// assert_eq!(arbiter.grant(), None); // held until released
 /// arbiter.release(CpuId(2)).unwrap();
-/// assert_eq!(arbiter.grant(), Some(CpuId(3)));
+/// assert_eq!(arbiter.grant().unwrap().cpu, CpuId(3));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EventOrderedTpmLock {
-    holder: Option<CpuId>,
+    granted: Option<TpmGrant>,
     /// Pending requests as `(request time, cpu)`, unsorted; `grant`
     /// selects the minimum, so the queue never depends on arrival
     /// order beyond the timestamps themselves.
@@ -119,7 +68,12 @@ impl EventOrderedTpmLock {
 
     /// The CPU currently granted the TPM, if any.
     pub fn holder(&self) -> Option<CpuId> {
-        self.holder
+        self.granted.map(|g| g.cpu)
+    }
+
+    /// The current grant (holder plus its request stamp), if any.
+    pub fn granted(&self) -> Option<TpmGrant> {
+        self.granted
     }
 
     /// Number of CPUs waiting for a grant.
@@ -131,7 +85,7 @@ impl EventOrderedTpmLock {
     /// the same CPU keep the earliest stamp (hardware sees one request
     /// line per CPU).
     pub fn request(&mut self, at: SimTime, cpu: CpuId) {
-        if self.holder == Some(cpu) {
+        if self.holder() == Some(cpu) {
             return; // reentrant: the holder already owns the TPM
         }
         match self.pending.iter_mut().find(|(_, c)| *c == cpu) {
@@ -141,10 +95,11 @@ impl EventOrderedTpmLock {
     }
 
     /// Grants the lock to the best pending requester — earliest stamp,
-    /// ties to the lowest CPU id — if the TPM is free. Returns the
-    /// winner, or `None` if the lock is held or nobody is waiting.
-    pub fn grant(&mut self) -> Option<CpuId> {
-        if self.holder.is_some() || self.pending.is_empty() {
+    /// ties to the lowest CPU id — if the TPM is free. Returns the grant
+    /// (including the winner's request stamp), or `None` if the lock is
+    /// held or nobody is waiting.
+    pub fn grant(&mut self) -> Option<TpmGrant> {
+        if self.granted.is_some() {
             return None;
         }
         let best = self
@@ -153,20 +108,22 @@ impl EventOrderedTpmLock {
             .enumerate()
             .min_by_key(|(_, &(t, c))| (t, c))
             .map(|(i, _)| i)?;
-        let (_, cpu) = self.pending.swap_remove(best);
-        self.holder = Some(cpu);
-        Some(cpu)
+        let (requested, cpu) = self.pending.swap_remove(best);
+        let grant = TpmGrant { cpu, requested };
+        self.granted = Some(grant);
+        Some(grant)
     }
 
     /// Releases the grant.
     ///
     /// # Errors
     ///
-    /// [`TpmError::LockHeld`] if `cpu` is not the holder.
+    /// [`TpmError::LockHeld`] if `cpu` is not the holder (releasing an
+    /// unheld lock is harmless).
     pub fn release(&mut self, cpu: CpuId) -> Result<(), TpmError> {
-        match self.holder {
+        match self.holder() {
             Some(h) if h == cpu => {
-                self.holder = None;
+                self.granted = None;
                 Ok(())
             }
             Some(h) => Err(TpmError::LockHeld { holder: h }),
@@ -178,35 +135,10 @@ impl EventOrderedTpmLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sea_crypto::{to_hex, Sha1};
 
-    #[test]
-    fn exclusive_acquisition() {
-        let mut lock = TpmLock::new();
-        assert_eq!(lock.holder(), None);
-        lock.acquire(CpuId(0)).unwrap();
-        assert_eq!(lock.holder(), Some(CpuId(0)));
-        assert_eq!(
-            lock.acquire(CpuId(1)),
-            Err(TpmError::LockHeld { holder: CpuId(0) })
-        );
-    }
-
-    #[test]
-    fn reentrant_for_holder() {
-        let mut lock = TpmLock::new();
-        lock.acquire(CpuId(2)).unwrap();
-        assert!(lock.acquire(CpuId(2)).is_ok());
-    }
-
-    #[test]
-    fn only_holder_releases() {
-        let mut lock = TpmLock::new();
-        lock.acquire(CpuId(0)).unwrap();
-        assert!(lock.release(CpuId(1)).is_err());
-        lock.release(CpuId(0)).unwrap();
-        assert_eq!(lock.holder(), None);
-        // Releasing an unheld lock is harmless.
-        assert!(lock.release(CpuId(0)).is_ok());
+    fn cpu_of(grant: Option<TpmGrant>) -> Option<CpuId> {
+        grant.map(|g| g.cpu)
     }
 
     #[test]
@@ -217,25 +149,33 @@ mod tests {
         arb.request(SimTime::from_ns(10), CpuId(4));
         assert_eq!(arb.waiting(), 3);
         // t=10 beats t=50; cpu4 beats cpu9 at equal time.
-        assert_eq!(arb.grant(), Some(CpuId(4)));
+        assert_eq!(cpu_of(arb.grant()), Some(CpuId(4)));
         assert_eq!(arb.holder(), Some(CpuId(4)));
         assert_eq!(arb.grant(), None);
         arb.release(CpuId(4)).unwrap();
-        assert_eq!(arb.grant(), Some(CpuId(9)));
+        assert_eq!(cpu_of(arb.grant()), Some(CpuId(9)));
         arb.release(CpuId(9)).unwrap();
-        assert_eq!(arb.grant(), Some(CpuId(0)));
+        assert_eq!(cpu_of(arb.grant()), Some(CpuId(0)));
         arb.release(CpuId(0)).unwrap();
         assert_eq!(arb.grant(), None);
     }
 
     #[test]
-    fn event_ordered_dedupes_requests_and_guards_release() {
+    fn arbiter_reports_request_stamps_and_dedupes_lanes() {
         let mut arb = EventOrderedTpmLock::new();
         arb.request(SimTime::from_ns(30), CpuId(1));
         arb.request(SimTime::from_ns(5), CpuId(1)); // earlier stamp wins
         arb.request(SimTime::from_ns(20), CpuId(2));
         assert_eq!(arb.waiting(), 2);
-        assert_eq!(arb.grant(), Some(CpuId(1)));
+        let g = arb.grant().unwrap();
+        assert_eq!(
+            g,
+            TpmGrant {
+                cpu: CpuId(1),
+                requested: SimTime::from_ns(5)
+            }
+        );
+        assert_eq!(arb.granted(), Some(g));
         // The holder re-requesting is a no-op, not a queued duplicate.
         arb.request(SimTime::from_ns(40), CpuId(1));
         assert_eq!(arb.waiting(), 1);
@@ -245,6 +185,54 @@ mod tests {
         );
         arb.release(CpuId(1)).unwrap();
         assert!(arb.release(CpuId(1)).is_ok()); // releasing unheld is harmless
-        assert_eq!(arb.grant(), Some(CpuId(2)));
+        assert_eq!(arb.grant().unwrap().requested, SimTime::from_ns(20));
+    }
+
+    #[test]
+    fn grant_order_matches_the_recorded_golden() {
+        // A pseudorandom request/grant/release schedule over 8 CPUs with
+        // request stamps below 64 ns, checked against a recorded grant
+        // stream: the digest pins every grant's CPU and request stamp,
+        // in order, so any change to the arbitration policy shows.
+        let mut arb = EventOrderedTpmLock::new();
+        let mut grants = Vec::new();
+        let mut state = 0x5EED_CAFE_u64;
+        let mut rand = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for _ in 0..500 {
+            match rand() % 3 {
+                0 => {
+                    let at = SimTime::from_ns(rand() % 64);
+                    let cpu = CpuId((rand() % 8) as u16);
+                    arb.request(at, cpu);
+                }
+                1 => grants.extend(arb.grant()),
+                _ => {
+                    if let Some(h) = arb.holder() {
+                        arb.release(h).unwrap();
+                    }
+                }
+            }
+        }
+        let head: Vec<(u16, u64)> = grants
+            .iter()
+            .take(5)
+            .map(|g| (g.cpu.0, g.requested.as_ns()))
+            .collect();
+        assert_eq!(head, [(6, 37), (3, 23), (6, 4), (5, 10), (2, 15)]);
+        assert_eq!(grants.len(), 88);
+        let mut stream = Vec::with_capacity(grants.len() * 10);
+        for g in &grants {
+            stream.extend_from_slice(&g.cpu.0.to_le_bytes());
+            stream.extend_from_slice(&g.requested.as_ns().to_le_bytes());
+        }
+        assert_eq!(
+            to_hex(&Sha1::digest(&stream)),
+            "96ec7f58865450c786791db0ff8e068401d0b06e"
+        );
     }
 }

@@ -18,7 +18,6 @@
 //! slot — exactly the hand-off §5.4.3 describes.
 
 use std::fmt;
-use std::sync::Mutex;
 
 use sea_crypto::Sha1Digest;
 use sea_hw::CpuId;
@@ -295,182 +294,6 @@ impl SePcrBank {
     }
 }
 
-/// A [`SePcrBank`] safe to share across the concurrent session engine's
-/// worker threads.
-///
-/// Each operation takes the bank's internal lock for exactly one state
-/// transition, modelling the TPM as the serialization point it is in
-/// hardware: two CPUs racing `SLAUNCH` both get a sePCR (or a clean
-/// [`TpmError::NoFreeSePcr`]) and never observe a torn slot — a slot is
-/// atomically Free, Exclusive (with its owner and full chain value), or
-/// Quote, never in between.
-///
-/// # Example
-///
-/// ```
-/// use sea_tpm::SharedSePcrBank;
-/// use sea_crypto::Sha1;
-/// use sea_hw::CpuId;
-///
-/// let bank = SharedSePcrBank::new(2);
-/// let h = bank.allocate(&Sha1::digest(b"pal"), CpuId(0)).unwrap();
-/// bank.release_to_quote(h, CpuId(0)).unwrap();
-/// bank.free(h).unwrap();
-/// assert_eq!(bank.free_count(), 2);
-/// ```
-#[derive(Debug)]
-pub struct SharedSePcrBank {
-    inner: Mutex<SePcrBank>,
-}
-
-impl SharedSePcrBank {
-    /// Creates a shared bank of `count` free sePCRs.
-    pub fn new(count: u16) -> Self {
-        SharedSePcrBank {
-            inner: Mutex::new(SePcrBank::new(count)),
-        }
-    }
-
-    /// Wraps an existing bank (e.g. handing a serial platform's bank to
-    /// the worker pool).
-    pub fn from_bank(bank: SePcrBank) -> Self {
-        SharedSePcrBank {
-            inner: Mutex::new(bank),
-        }
-    }
-
-    /// Unwraps back into the serial bank.
-    pub fn into_bank(self) -> SePcrBank {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn with<T>(&self, f: impl FnOnce(&mut SePcrBank) -> T) -> T {
-        // Every transition is all-or-nothing under the lock, so a
-        // panicked holder cannot have left a torn slot: recover the
-        // bank rather than poisoning every later TPM operation.
-        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        f(&mut guard)
-    }
-
-    /// Total number of sePCR slots. See [`SePcrBank::count`].
-    pub fn count(&self) -> u16 {
-        self.with(|b| b.count())
-    }
-
-    /// Number of Free slots. See [`SePcrBank::free_count`].
-    pub fn free_count(&self) -> u16 {
-        self.with(|b| b.free_count())
-    }
-
-    /// Atomic `SLAUNCH` allocation. See [`SePcrBank::allocate`].
-    ///
-    /// # Errors
-    ///
-    /// [`TpmError::NoFreeSePcr`] when the bank is exhausted.
-    pub fn allocate(
-        &self,
-        measurement: &Sha1Digest,
-        owner: CpuId,
-    ) -> Result<SePcrHandle, TpmError> {
-        self.with(|b| b.allocate(measurement, owner))
-    }
-
-    /// Current state of a slot. See [`SePcrBank::state`].
-    ///
-    /// # Errors
-    ///
-    /// [`TpmError::NoSuchSePcr`] for an invalid handle.
-    pub fn state(&self, handle: SePcrHandle) -> Result<SePcrState, TpmError> {
-        self.with(|b| b.state(handle))
-    }
-
-    /// The CPU bound to a slot. See [`SePcrBank::owner`].
-    ///
-    /// # Errors
-    ///
-    /// [`TpmError::NoSuchSePcr`] for an invalid handle.
-    pub fn owner(&self, handle: SePcrHandle) -> Result<Option<CpuId>, TpmError> {
-        self.with(|b| b.owner(handle))
-    }
-
-    /// Owner-checked Exclusive read. See [`SePcrBank::read_exclusive`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SePcrBank::read_exclusive`].
-    pub fn read_exclusive(
-        &self,
-        handle: SePcrHandle,
-        requester: CpuId,
-    ) -> Result<PcrValue, TpmError> {
-        self.with(|b| b.read_exclusive(handle, requester))
-    }
-
-    /// Owner-checked extend. See [`SePcrBank::extend`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SePcrBank::extend`].
-    pub fn extend(
-        &self,
-        handle: SePcrHandle,
-        requester: CpuId,
-        measurement: &Sha1Digest,
-    ) -> Result<PcrValue, TpmError> {
-        self.with(|b| b.extend(handle, requester, measurement))
-    }
-
-    /// Resume-path owner rebind. See [`SePcrBank::rebind_owner`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SePcrBank::rebind_owner`].
-    pub fn rebind_owner(&self, handle: SePcrHandle, owner: CpuId) -> Result<(), TpmError> {
-        self.with(|b| b.rebind_owner(handle, owner))
-    }
-
-    /// `SFREE`: Exclusive → Quote. See [`SePcrBank::release_to_quote`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SePcrBank::release_to_quote`].
-    pub fn release_to_quote(&self, handle: SePcrHandle, requester: CpuId) -> Result<(), TpmError> {
-        self.with(|b| b.release_to_quote(handle, requester))
-    }
-
-    /// Quote-state read. See [`SePcrBank::read_for_quote`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SePcrBank::read_for_quote`].
-    pub fn read_for_quote(&self, handle: SePcrHandle) -> Result<PcrValue, TpmError> {
-        self.with(|b| b.read_for_quote(handle))
-    }
-
-    /// `TPM_SEPCR_Free`: Quote → Free. See [`SePcrBank::free`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SePcrBank::free`].
-    pub fn free(&self, handle: SePcrHandle) -> Result<(), TpmError> {
-        self.with(|b| b.free(handle))
-    }
-
-    /// `SKILL`. See [`SePcrBank::skill`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SePcrBank::skill`].
-    pub fn skill(&self, handle: SePcrHandle) -> Result<(), TpmError> {
-        self.with(|b| b.skill(handle))
-    }
-
-    /// Platform reset. See [`SePcrBank::platform_reset`].
-    pub fn platform_reset(&self) {
-        self.with(|b| b.platform_reset());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,44 +461,6 @@ mod tests {
         assert_eq!(
             bank.read_exclusive(h2, CpuId(1)).unwrap(),
             PcrValue::ZERO.extended(&m(b"b"))
-        );
-    }
-
-    #[test]
-    fn shared_bank_hands_out_distinct_slots_under_contention() {
-        use std::sync::Arc;
-
-        let bank = Arc::new(SharedSePcrBank::new(8));
-        let handles: Vec<_> = (0..16u16)
-            .map(|cpu| {
-                let bank = Arc::clone(&bank);
-                std::thread::spawn(move || bank.allocate(&m(&cpu.to_le_bytes()), CpuId(cpu)).ok())
-            })
-            .collect();
-        let won: Vec<SePcrHandle> = handles
-            .into_iter()
-            .filter_map(|h| h.join().unwrap())
-            .collect();
-        // Exactly the bank's capacity was handed out, with no slot
-        // granted twice.
-        assert_eq!(won.len(), 8);
-        let mut slots: Vec<u16> = won.iter().map(|h| h.0).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        assert_eq!(slots.len(), 8);
-        assert_eq!(bank.free_count(), 0);
-    }
-
-    #[test]
-    fn shared_bank_roundtrips_into_serial_bank() {
-        let shared = SharedSePcrBank::new(2);
-        let h = shared.allocate(&m(b"pal"), CpuId(0)).unwrap();
-        shared.extend(h, CpuId(0), &m(b"input")).unwrap();
-        let serial = shared.into_bank();
-        assert_eq!(serial.state(h).unwrap(), SePcrState::Exclusive);
-        assert_eq!(
-            serial.read_exclusive(h, CpuId(0)).unwrap(),
-            PcrValue::ZERO.extended(&m(b"pal")).extended(&m(b"input"))
         );
     }
 }

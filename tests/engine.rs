@@ -434,14 +434,14 @@ fn durability_defaults_the_retry_policy() {
 fn shared_clock_reflects_batch_wall_time() {
     let mut pool = engine(2, 2);
     let outcome = pool.run(jobs(4, 50), &BatchPolicy::plain()).unwrap();
-    // Every domain published busy-so-far at each job boundary; the
-    // final shared reading is the busiest CPU's timeline.
+    // The engine folds each epoch's busiest CPU into its clock, so
+    // the reading is the busiest CPU's timeline.
     assert_eq!(pool.clock().now().as_ns(), outcome.wall.as_ns());
 }
 
 #[test]
 fn typestate_session_drives_by_hand() {
-    let engine = engine(2, 1);
+    let mut engine = engine(2, 1);
     let mut yields = 0u8;
     let mut pal = FnPal::new("manual", move |ctx| {
         ctx.work(SimDuration::from_us(10));
@@ -474,7 +474,7 @@ fn typestate_session_drives_by_hand() {
 
 #[test]
 fn typestate_kill_reclaims_the_session() {
-    let engine = engine(2, 1);
+    let mut engine = engine(2, 1);
     let mut pal = FnPal::new("doomed", |_| Ok(PalOutcome::Yield));
     let session = engine.launch(&mut pal, b"", CpuId(0), 0).unwrap();
     let suspended = match session.step().unwrap() {

@@ -8,10 +8,10 @@ use minimal_tcb::core::{
 };
 use minimal_tcb::crypto::Sha1;
 use minimal_tcb::hw::{
-    CpuId, CpuVendor, DeviceId, HwError, Machine, PageRange, Platform, Requester,
+    CpuId, CpuVendor, DeviceId, HwError, Machine, PageRange, Platform, Requester, SimTime,
 };
 use minimal_tcb::os::{Adversary, AttackOutcome};
-use minimal_tcb::tpm::{KeyStrength, Locality, PcrIndex, Quote, TpmError};
+use minimal_tcb::tpm::{EventOrderedTpmLock, KeyStrength, Locality, PcrIndex, Quote, TpmError};
 
 fn enhanced_with_nic(seed: &[u8]) -> EnhancedSea {
     let platform = Platform::recommended(2);
@@ -376,13 +376,19 @@ fn toctou_footnote3_load_time_attestation_limit() {
 
 #[test]
 fn tpm_lock_serializes_multi_cpu_access() {
-    let mut sp = SecurePlatform::new(Platform::recommended(2), KeyStrength::Demo512, b"lock");
-    let lock = sp.tpm_mut().unwrap().lock_mut();
-    lock.acquire(CpuId(0)).unwrap();
+    // §5.4.5's hardware TPM lock, as the arbiter that gates every
+    // engine quote.
+    let mut lock = EventOrderedTpmLock::new();
+    lock.request(SimTime::ZERO, CpuId(0));
+    assert_eq!(lock.grant().map(|g| g.cpu), Some(CpuId(0)));
+    // Another CPU's request waits while CPU0 holds the lock...
+    lock.request(SimTime::from_ns(1), CpuId(1));
+    assert_eq!(lock.grant(), None);
+    // ...and cannot release it on CPU0's behalf.
     assert_eq!(
-        lock.acquire(CpuId(1)).unwrap_err(),
+        lock.release(CpuId(1)).unwrap_err(),
         TpmError::LockHeld { holder: CpuId(0) }
     );
     lock.release(CpuId(0)).unwrap();
-    lock.acquire(CpuId(1)).unwrap();
+    assert_eq!(lock.grant().map(|g| g.cpu), Some(CpuId(1)));
 }
