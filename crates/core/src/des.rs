@@ -118,20 +118,14 @@ pub(crate) fn run_epoch<A: Architecture>(
                         }
                         continue;
                     }
-                    ctx.journal.record_intent(i as u64);
                 }
-                let (policy, journaled) = match &mode {
-                    WorkerMode::Plain => (None, false),
-                    WorkerMode::Recovered { retry } => (Some(*retry), false),
-                    WorkerMode::Durable(ctx) => (Some(ctx.retry), true),
+                let policy = match &mode {
+                    WorkerMode::Plain => None,
+                    WorkerMode::Recovered { retry } => Some(*retry),
+                    WorkerMode::Durable(ctx) => Some(ctx.retry),
                 };
-                cpus[cpu].current = Some(SessionDriver::<A>::new(
-                    i,
-                    CpuId(cpu as u16),
-                    job,
-                    policy,
-                    journaled,
-                ));
+                cpus[cpu].current =
+                    Some(SessionDriver::<A>::new(i, CpuId(cpu as u16), job, policy));
                 events.schedule(t, i as u64, Ev::Op { cpu });
             }
 
@@ -178,16 +172,12 @@ pub(crate) fn run_epoch<A: Architecture>(
                     }
                 }
 
-                let journal = match &mut mode {
-                    WorkerMode::Durable(ctx) => Some(&mut ctx.journal),
-                    _ => None,
-                };
                 let before = machine_now::<A>(rt);
                 let step = cpus[cpu]
                     .current
                     .as_mut()
                     .expect("op event only fires with a session in flight")
-                    .advance(rt, obs, journal);
+                    .advance(rt, obs);
                 let elapsed = machine_now::<A>(rt).duration_since(before);
                 let local = match &step {
                     DriveStep::Running { local_cost } => *local_cost,

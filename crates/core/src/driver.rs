@@ -22,7 +22,6 @@ use crate::concurrent::{ConcurrentJob, JobResult, SessionResult};
 use crate::engine::Architecture;
 use crate::enhanced::PalStep;
 use crate::error::SeaError;
-use crate::journal::SessionJournal;
 use crate::recovery::RetryPolicy;
 use crate::report::SessionReport;
 
@@ -119,8 +118,6 @@ pub(crate) struct SessionDriver<A: Architecture> {
     /// `Some` ⇒ keyed (recovered) driving with this retry policy;
     /// `None` ⇒ the plain fast path (unkeyed, errors surface).
     policy: Option<RetryPolicy>,
-    /// Record the write-ahead `launched` entry on launch success.
-    journaled: bool,
     phase: Phase<A>,
     retries: u32,
     recovery_cost: SimDuration,
@@ -135,14 +132,12 @@ impl<A: Architecture> SessionDriver<A> {
         cpu: CpuId,
         job: ConcurrentJob,
         policy: Option<RetryPolicy>,
-        journaled: bool,
     ) -> Self {
         SessionDriver {
             index,
             cpu,
             job,
             policy,
-            journaled,
             phase: Phase::Launch,
             retries: 0,
             recovery_cost: SimDuration::ZERO,
@@ -235,27 +230,13 @@ impl<A: Architecture> SessionDriver<A> {
 
     /// Executes exactly one architecture operation and moves the
     /// machine to its next phase.
-    ///
-    /// `journal` must be `Some` whenever the driver was built
-    /// `journaled` (the durable mode); it receives the write-ahead
-    /// `launched` record in the same advance as the successful launch.
-    pub(crate) fn advance(
-        &mut self,
-        rt: &mut A::Runtime,
-        obs: &Obs,
-        journal: Option<&mut SessionJournal>,
-    ) -> DriveStep {
+    pub(crate) fn advance(&mut self, rt: &mut A::Runtime, obs: &Obs) -> DriveStep {
         let key = self.key();
         match std::mem::replace(&mut self.phase, Phase::Done) {
             Phase::Launch => {
                 let error =
                     match A::launch(rt, &mut *self.job.logic, &self.job.input, self.cpu, key) {
                         Ok(live) => {
-                            if self.journaled {
-                                if let Some(journal) = journal {
-                                    journal.record_launched(self.index as u64);
-                                }
-                            }
                             self.phase = Phase::Step(live);
                             return DriveStep::Running {
                                 local_cost: SimDuration::ZERO,

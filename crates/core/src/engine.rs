@@ -17,8 +17,9 @@
 //! * [`SessionEngine`] is the one batch executor. Its behavior is
 //!   composed from a [`BatchPolicy`]: add a [`RetryPolicy`] for
 //!   bounded fault recovery, add a [`ResetPlan`] for crash-consistent
-//!   durability (write-ahead [`SessionJournal`] sealed into TPM
-//!   NVRAM), pick a worker count for concurrency. Every combination
+//!   durability (an NVRAM log of terminal records under a sealed
+//!   head, see [`read_checkpoint`]), pick a worker count for
+//!   concurrency. Every combination
 //!   returns the same [`BatchOutcome`].
 //!
 //! # Executor
@@ -55,24 +56,22 @@ use sea_hw::{
     CpuId, FaultPlan, Layer, Obs, ResetPlan, SimClock, SimDuration, SimTime, TraceEvent,
     PLATFORM_TRACK,
 };
-use sea_tpm::{Quote, SealedBlob, Timed};
+use sea_tpm::{Quote, Timed};
 
 use crate::concurrent::{ConcurrentJob, JobResult, SessionResult};
 use crate::des;
 use crate::enhanced::{EnhancedSea, PalId, PalStep};
 use crate::error::SeaError;
-use crate::journal::SessionJournal;
+use crate::journal::{self, JournalLog, SessionJournal};
 use crate::legacy::LegacySea;
 use crate::pal::PalLogic;
 use crate::platform::SecurePlatform;
 use crate::recovery::RetryPolicy;
 use crate::report::SessionReport;
 
-/// TPM NVRAM index where the durable engine parks the sealed session
-/// journal ("SJNL" in ASCII). One checkpoint blob lives here at a time:
-/// each durable batch clears it before its first job, and each sealed
-/// commit overwrites it.
-pub const JOURNAL_NV_INDEX: u32 = 0x534a_4e4c;
+pub use crate::journal::{
+    read_checkpoint, JOURNAL_HEAD_LEN, JOURNAL_LOG_NV_INDEX, JOURNAL_NV_INDEX,
+};
 
 /// The backend that executes a batch epoch.
 ///
@@ -674,8 +673,9 @@ impl BatchPolicy {
         self
     }
 
-    /// Adds crash-consistent durability: terminal results are committed
-    /// to a write-ahead journal sealed into TPM NVRAM, and `plan`'s
+    /// Adds crash-consistent durability: terminal results are appended
+    /// to a journal log in TPM NVRAM under a sealed head (see
+    /// [`read_checkpoint`]), and `plan`'s
     /// power losses reboot the platform and relaunch whatever had not
     /// committed. Implies keyed (recovered) driving — with no explicit
     /// retry policy, [`RetryPolicy::default`] applies.
@@ -691,9 +691,9 @@ impl BatchPolicy {
     }
 
     /// Batches up to `sessions` terminal commits into one NVRAM seal
-    /// (group commit). Each terminal still enters the write-ahead
-    /// journal immediately — only the expensive `TPM_Seal` checkpoint
-    /// is deferred until the group fills. Buffered commits are durable
+    /// (group commit). Each terminal's record still enters the NVRAM
+    /// log immediately — only the expensive `TPM_Seal` of the head is
+    /// deferred until the group fills. Buffered commits are durable
     /// *only once sealed*: until then they are volatile attempts —
     /// final if the epoch ends cleanly, relaunched (and
     /// deterministically re-derived) if the power fails first. `0` and
@@ -808,10 +808,10 @@ pub(crate) enum Attempt {
     /// Terminal result checkpointed to NVRAM — survives any later
     /// crash.
     Committed(SessionResult),
-    /// A kill, deliberately not checkpointed (see
-    /// [`SessionJournal::commit`]): final only if the epoch ends
-    /// cleanly, relaunched — and deterministically re-killed —
-    /// otherwise.
+    /// A kill (deliberately not journaled, see [`read_checkpoint`]),
+    /// or a commit whose group has not been sealed yet: final only if
+    /// the epoch ends cleanly, relaunched — and deterministically
+    /// re-derived — otherwise.
     Volatile(SessionResult, ConcurrentJob),
     /// The crash beat the commit: the session must relaunch.
     Torn(ConcurrentJob),
@@ -856,16 +856,16 @@ impl ResetTriggers {
 }
 
 /// The durable batch's state, lent to each epoch as `&mut`: the
-/// journal, the reset triggers and the seal overhead carry across
-/// epochs; `crashed` and `pending_seals` are volatile and
+/// journal log's writer, the reset triggers and the seal overhead carry
+/// across epochs; `crashed` and `pending_seals` are volatile and
 /// [`DurableCtx::begin_epoch`] clears them.
 pub(crate) struct DurableCtx {
     /// The retry budget and backoff schedule.
     pub(crate) retry: RetryPolicy,
     /// Resets already survived (the power-loss roll's epoch key).
     reset_epoch: u64,
-    /// The write-ahead journal.
-    pub(crate) journal: SessionJournal,
+    /// The writer of the NVRAM journal log.
+    log: JournalLog,
     /// Power-loss decision state.
     triggers: ResetTriggers,
     /// Accumulated checkpoint-seal time.
@@ -875,8 +875,8 @@ pub(crate) struct DurableCtx {
     /// Terminal commits batched per NVRAM seal (group commit; ≥ 1).
     group: usize,
     /// Commits journaled since the last seal; sealing resets it. Lives
-    /// beside `crashed`, so a crash discards the buffer exactly as it
-    /// discards unsealed journal state.
+    /// beside `crashed`: a crash discards the buffer, and recovery
+    /// truncates the log past the last seal.
     pending_seals: usize,
 }
 
@@ -885,7 +885,7 @@ impl DurableCtx {
         DurableCtx {
             retry,
             reset_epoch: 0,
-            journal: SessionJournal::new(),
+            log: JournalLog::default(),
             triggers: ResetTriggers::new(plan),
             journal_overhead: SimDuration::ZERO,
             crashed: false,
@@ -930,28 +930,27 @@ impl DurableCtx {
             self.crashed = true;
             return Ok(Attempt::Torn(job));
         }
-        self.journal.commit(key, &session);
-        if session.is_killed() {
+        let tpm = A::platform_mut(rt).tpm_mut().ok_or(SeaError::NoTpm)?;
+        if !self.log.append(tpm.nvram_mut(), key, &session) {
+            // A kill is not journaled.
             return Ok(Attempt::Volatile(session, job));
         }
-        // Group commit: buffer journaled terminals until the group
-        // fills, then seal them all in one NVRAM checkpoint. A buffered
-        // commit exists only in volatile memory, so it reports
-        // `Volatile` — final if the epoch ends cleanly, relaunched (and
-        // deterministically re-derived) if the power fails first. At
-        // `group == 1` this branch is unreachable and every commit
-        // seals, byte-identical to the pre-group engine.
+        // Group commit: journaled terminals stay unsealed until the
+        // group fills, then one head seals them all. An unsealed commit
+        // reports `Volatile` — final if the epoch ends cleanly,
+        // relaunched (and deterministically re-derived) if the power
+        // fails first, since recovery drops the log past the sealed
+        // head. At `group == 1` this branch is unreachable and every
+        // commit seals.
         self.pending_seals += 1;
         if self.pending_seals < self.group {
             obs.add("journal.buffered", 1);
             return Ok(Attempt::Volatile(session, job));
         }
         self.pending_seals = 0;
-        let bytes = self.journal.to_bytes();
         // Seal to the empty PCR selection: the blob must unseal on the
         // rebooted platform, whose PCRs have all reset.
-        let tpm = A::platform_mut(rt).tpm_mut().ok_or(SeaError::NoTpm)?;
-        let sealed = tpm.seal(&bytes, &[])?;
+        let sealed = tpm.seal(&self.log.head(), &[])?;
         tpm.nvram_mut()
             .store_blob(JOURNAL_NV_INDEX, &sealed.value.to_bytes());
         // Checkpoint time serializes against the whole batch, not one
@@ -1186,11 +1185,12 @@ impl<A: Architecture> SessionEngine<A> {
             // The journal checkpoint in NVRAM belongs to one batch: a
             // crash before this batch's first seal must recover an
             // empty journal, never an earlier batch's results.
-            A::platform_mut(&mut self.rt)
+            let nvram = A::platform_mut(&mut self.rt)
                 .tpm_mut()
                 .ok_or(SeaError::NoTpm)?
-                .nvram_mut()
-                .delete_blob(JOURNAL_NV_INDEX);
+                .nvram_mut();
+            nvram.delete_blob(JOURNAL_NV_INDEX);
+            nvram.delete_blob(JOURNAL_LOG_NV_INDEX);
         }
 
         let mut durable = policy.durability().map(|plan| {
@@ -1261,22 +1261,25 @@ impl<A: Architecture> SessionEngine<A> {
             resets += 1;
             obs.add("journal.resets", 1);
             recovery_latency += A::power_cycle(&mut self.rt);
-            let recovered = {
+            let restored = {
                 let tpm = A::platform_mut(&mut self.rt)
                     .tpm_mut()
                     .ok_or(SeaError::NoTpm)?;
-                match tpm.nvram().read_blob(JOURNAL_NV_INDEX).map(<[u8]>::to_vec) {
-                    Some(bytes) => {
-                        let blob = SealedBlob::from_bytes(&bytes)?;
-                        let opened = tpm.unseal(&blob)?;
-                        recovery_latency += opened.elapsed;
-                        obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.unseal", opened.elapsed);
-                        SessionJournal::from_bytes(&opened.value)?
+                let (recovered, log) = match journal::open_checkpoint(tpm)? {
+                    Some(c) => {
+                        recovery_latency += c.unseal_cost;
+                        obs.leaf_on(PLATFORM_TRACK, Layer::Tpm, "journal.unseal", c.unseal_cost);
+                        (c.journal, c.log)
                     }
-                    None => SessionJournal::new(),
-                }
+                    None => (SessionJournal::new(), JournalLog::default()),
+                };
+                // Commits appended past the last seal never became
+                // durable: the crash took them.
+                tpm.nvram_mut()
+                    .truncate_blob(JOURNAL_LOG_NV_INDEX, log.len());
+                ctx.log = log;
+                recovered.into_results()
             };
-            let restored = recovered.restore()?;
             committed = restored.iter().map(|(key, _)| *key).collect();
             final_slots.fill(None);
             for (key, session) in restored {
@@ -1285,7 +1288,6 @@ impl<A: Architecture> SessionEngine<A> {
                     .ok_or(SeaError::JournalCorrupt("session key out of range"))?;
                 *slot = Some(Ok(session));
             }
-            ctx.journal = recovered;
 
             // Everything without a checkpointed terminal relaunches.
             relaunched.clear();

@@ -72,9 +72,9 @@ pub enum SeaError {
     /// Surfaced as an error so a batch driver can report and continue
     /// instead of aborting the process.
     EngineFault(&'static str),
-    /// The write-ahead session journal recovered from NVRAM failed to
-    /// parse — the persistent record is unusable and recovery cannot
-    /// trust it.
+    /// The session journal checkpoint in NVRAM failed to verify or
+    /// parse (a malformed head, a log that does not match its sealed
+    /// digest, a malformed record) — recovery cannot trust it.
     JournalCorrupt(&'static str),
 }
 

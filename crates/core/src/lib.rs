@@ -82,11 +82,11 @@ pub use attest::{TrustPolicy, Verifier, VerifyError};
 pub use concurrent::{ConcurrentJob, JobResult, SessionResult};
 pub use engine::{
     Architecture, BatchOutcome, BatchPolicy, Executor, Session, SessionEngine, SessionTally,
-    Skinit, Slaunch, Stepped, JOURNAL_NV_INDEX,
+    Skinit, Slaunch, Stepped, JOURNAL_HEAD_LEN, JOURNAL_LOG_NV_INDEX, JOURNAL_NV_INDEX,
 };
 pub use enhanced::{EnhancedSea, PalDone, PalId, PalStep};
 pub use error::SeaError;
-pub use journal::{JournalEntry, SessionJournal};
+pub use journal::SessionJournal;
 pub use legacy::{LegacySea, LegacySessionResult};
 pub use pal::{FnPal, PalCtx, PalLogic, PalOutcome};
 pub use pioneer::{

@@ -11,8 +11,9 @@
 //!   counter, and the ability to perform cryptographic operations" are
 //!   what the paper keeps *inside* the TCB for exactly this reason),
 //! * opaque blobs the platform stores by index — the durable session
-//!   engine keeps its sealed write-ahead journal here, which is what
-//!   makes crash recovery possible at all.
+//!   engine keeps its append-only journal log and the sealed head that
+//!   authenticates it here, which is what makes crash recovery possible
+//!   at all.
 //!
 //! [`Nvram`] is deliberately free of policy: it neither seals nor
 //! authorises. Sealing happens above it ([`crate::Tpm::seal`] binds to
@@ -72,6 +73,28 @@ impl Nvram {
         self.blobs.get(&index).map(Vec::as_slice)
     }
 
+    /// Appends `bytes` to the blob at `index`, creating the blob if none
+    /// is stored. An append costs the appended bytes (amortized), never
+    /// a rewrite of the blob.
+    pub fn append_blob(&mut self, index: u32, bytes: &[u8]) {
+        self.blobs
+            .entry(index)
+            .or_default()
+            .extend_from_slice(bytes);
+    }
+
+    /// Cuts the blob at `index` down to its first `len` bytes. A blob
+    /// already no longer than `len` (or absent) is left as it is; a blob
+    /// cut to zero bytes is deleted, so an emptied log and a missing one
+    /// are the same state.
+    pub fn truncate_blob(&mut self, index: u32, len: usize) {
+        if len == 0 {
+            self.blobs.remove(&index);
+        } else if let Some(blob) = self.blobs.get_mut(&index) {
+            blob.truncate(len);
+        }
+    }
+
     /// Deletes the blob at `index`; returns whether one was present.
     pub fn delete_blob(&mut self, index: u32) -> bool {
         self.blobs.remove(&index).is_some()
@@ -118,6 +141,39 @@ mod tests {
         assert!(nv.delete_blob(9));
         assert!(!nv.delete_blob(9));
         assert!(nv.read_blob(9).is_none());
+    }
+
+    #[test]
+    fn append_creates_then_extends() {
+        let mut nv = Nvram::new(b"s");
+        nv.append_blob(4, b"ab");
+        assert_eq!(nv.read_blob(4), Some(&b"ab"[..]));
+        nv.append_blob(4, b"cd");
+        assert_eq!(nv.read_blob(4), Some(&b"abcd"[..]));
+        assert_eq!(nv.blob_count(), 1);
+    }
+
+    #[test]
+    fn truncate_shortens_ignores_past_the_end_and_deletes_at_zero() {
+        let mut nv = Nvram::new(b"s");
+        nv.append_blob(4, b"abcdef");
+        nv.truncate_blob(4, 10);
+        assert_eq!(nv.read_blob(4), Some(&b"abcdef"[..]));
+        nv.truncate_blob(4, 6);
+        assert_eq!(nv.read_blob(4), Some(&b"abcdef"[..]));
+        nv.truncate_blob(4, 2);
+        assert_eq!(nv.read_blob(4), Some(&b"ab"[..]));
+        nv.truncate_blob(4, 0);
+        assert!(nv.read_blob(4).is_none());
+        assert_eq!(nv.blob_count(), 0);
+        // Absent blobs stay absent.
+        nv.truncate_blob(5, 3);
+        assert!(nv.read_blob(5).is_none());
+        // A deleted log starts over on the next append.
+        nv.append_blob(4, b"x");
+        assert!(nv.delete_blob(4));
+        nv.append_blob(4, b"y");
+        assert_eq!(nv.read_blob(4), Some(&b"y"[..]));
     }
 
     #[test]

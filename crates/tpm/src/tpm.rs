@@ -943,9 +943,12 @@ mod tests {
         let h0 = t.slaunch_measure(b"running", CpuId(0)).unwrap().value;
         let h1 = t.slaunch_measure(b"done", CpuId(1)).unwrap().value;
         t.sepcr_release_to_quote(h1, CpuId(1)).unwrap();
-        // NVRAM carries a counter bump and a stored blob.
+        // NVRAM carries a counter bump, a stored blob and an appended
+        // log.
         t.nvram_mut().increment_counter(7);
         t.nvram_mut().store_blob(1, b"journal bytes");
+        t.nvram_mut().append_blob(3, b"record one|");
+        t.nvram_mut().append_blob(3, b"record two");
 
         t.reboot();
 
@@ -954,9 +957,10 @@ mod tests {
         assert_eq!(t.sepcrs().free_count(), 2);
         assert!(t.sepcr_extend(h0, CpuId(0), &Sha1::digest(b"x")).is_err());
         assert!(t.sepcr_quote(h1, b"nonce").is_err());
-        // Persistent half: counters and blobs survived.
+        // Persistent half: counters, blobs and the log survived.
         assert_eq!(t.nvram().counter(7), 1);
         assert_eq!(t.nvram().read_blob(1), Some(&b"journal bytes"[..]));
+        assert_eq!(t.nvram().read_blob(3), Some(&b"record one|record two"[..]));
     }
 
     #[test]

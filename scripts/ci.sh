@@ -153,6 +153,15 @@ rm -f "$SUITE_JSON"
 SEA_BENCH_SMOKE=1 cargo run -q --release -p sea-bench --offline --bin suite -- 2 --json "$SUITE_JSON" > /dev/null
 [ -s "$SUITE_JSON" ] || { echo "ci.sh: $SUITE_JSON missing or empty" >&2; exit 1; }
 cargo run -q --release -p sea-bench --offline --bin suite -- --validate "$SUITE_JSON"
+# The suite is virtual time only, so its smoke output is byte-identical
+# from change to change unless a change deliberately moves virtual time.
+SUITE_GOLDEN=tests/golden/bench_suite_smoke.json
+cmp -s "$SUITE_GOLDEN" "$SUITE_JSON" || {
+  echo "ci.sh: $SUITE_JSON differs from $SUITE_GOLDEN." >&2
+  echo "  Re-record it (cp $SUITE_JSON $SUITE_GOLDEN) only for a deliberate" >&2
+  echo "  virtual-time change, and say so in CHANGES.md." >&2
+  exit 1
+}
 
 phase "suite worker-count invariance: 1 vs 8 vs 16 workers (smoke mode, offline)"
 # Suite workers are real OS threads, each building its own engines;

@@ -14,12 +14,13 @@
 //! `SEA_CRASH_SEED` selects the fault tape the reference batch replays
 //! (scripts/ci.sh pins one).
 
+use sea_core::engine::read_checkpoint;
 use sea_core::{
     BatchOutcome, BatchPolicy, ConcurrentJob, FnPal, PalOutcome, RetryPolicy, SecurePlatform,
-    SessionEngine, SessionJournal, SessionResult, Slaunch, JOURNAL_NV_INDEX,
+    SessionEngine, SessionResult, Slaunch,
 };
 use sea_hw::{CpuId, FaultPlan, Platform, ResetPlan, SimDuration, TraceEvent};
-use sea_tpm::{KeyStrength, SealedBlob};
+use sea_tpm::KeyStrength;
 
 const JOBS: usize = 16;
 const WORKERS: usize = 4;
@@ -182,33 +183,23 @@ fn check_cut(seed: u64, workers: usize, cut: u64, reference: &[SessionResult]) -
             .any(|(_, e)| matches!(e, TraceEvent::PlatformReset)));
     }
 
-    // The final sealed checkpoint is intact: it unseals, parses, has no
-    // torn entry, and replays every terminal session.
-    let blob = sea
-        .platform()
-        .tpm()
-        .expect("tpm")
-        .nvram()
-        .read_blob(JOURNAL_NV_INDEX)
-        .unwrap_or_else(|| panic!("seed {seed} cut {cut}: checkpoint missing"))
-        .to_vec();
-    let blob = SealedBlob::from_bytes(&blob)
-        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: checkpoint corrupt: {e}"));
-    let bytes = sea
-        .platform_mut()
-        .tpm_mut()
-        .expect("tpm")
-        .unseal(&blob)
-        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: checkpoint sealed shut: {e}"))
-        .value;
-    let journal = SessionJournal::from_bytes(&bytes)
-        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: journal corrupt: {e}"));
-    assert!(journal.torn().is_empty(), "seed {seed} cut {cut}");
+    // The final sealed checkpoint is intact: it unseals, its log
+    // matches the sealed digest and parses, and it replays every
+    // terminal session.
+    let journal = read_checkpoint(sea.platform_mut().tpm_mut().expect("tpm"))
+        .unwrap_or_else(|e| panic!("seed {seed} cut {cut}: checkpoint corrupt: {e}"))
+        .unwrap_or_else(|| panic!("seed {seed} cut {cut}: checkpoint missing"));
     assert_eq!(
-        journal.restore().expect("journal restores").len(),
+        journal.len(),
         JOBS,
         "seed {seed} cut {cut}: checkpoint is missing terminals"
     );
+    for key in 0..JOBS as u64 {
+        assert!(
+            journal.entry(key).is_some(),
+            "seed {seed} cut {cut}: job {key} does not restore"
+        );
+    }
     d
 }
 
@@ -316,37 +307,26 @@ fn check_group_cut(
     );
 
     // Whatever checkpoint the batch last sealed must still be intact:
-    // unsealable, parseable, and torn-free.
-    if let Some(bytes) = sea
-        .platform()
-        .tpm()
-        .expect("tpm")
-        .nvram()
-        .read_blob(JOURNAL_NV_INDEX)
-        .map(<[u8]>::to_vec)
+    // it unseals, its log matches the sealed digest, and it parses.
+    if let Some(journal) = read_checkpoint(sea.platform_mut().tpm_mut().expect("tpm"))
+        .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: corrupt: {e}"))
     {
-        let blob = SealedBlob::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: corrupt: {e}"));
-        let opened = sea
-            .platform_mut()
-            .tpm_mut()
-            .expect("tpm")
-            .unseal(&blob)
-            .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: sealed shut: {e}"));
-        let journal = SessionJournal::from_bytes(&opened.value)
-            .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: corrupt: {e}"));
-        // Unlike seal-every-commit, the final checkpoint may carry torn
-        // intents — sessions whose commits were still buffered past the
-        // last seal — but the terminals it does hold must replay, and
-        // only in whole groups (each seal lands on a `group`-th commit).
-        let restored = journal
-            .restore()
-            .unwrap_or_else(|e| panic!("seed {seed} group {group} cut {cut}: no replay: {e}"));
+        // Unlike seal-every-commit, the final checkpoint may trail the
+        // batch — commits still unsealed past the last seal — but the
+        // terminals it does hold replay the batch's sessions, and only
+        // in whole groups (each seal lands on a `group`-th commit).
         assert!(
-            restored.len() <= JOBS && restored.len().is_multiple_of(group),
+            journal.len() <= JOBS && journal.len().is_multiple_of(group),
             "seed {seed} group {group} cut {cut}: checkpoint holds {} terminals",
-            restored.len()
+            journal.len()
         );
+        for (key, restored) in journal.into_results() {
+            assert_eq!(
+                Some(&restored),
+                d.sessions.get(key as usize),
+                "seed {seed} group {group} cut {cut}: job {key} restores a different result"
+            );
+        }
     }
     d
 }

@@ -7,16 +7,16 @@
 //! crate. The golden differential suite (`golden_differential.rs`)
 //! builds on the contracts pinned here.
 
-use sea_core::engine::{rate_per_sec, speedup};
+use sea_core::engine::{rate_per_sec, read_checkpoint, speedup};
 use sea_core::{
     BatchPolicy, ConcurrentJob, FnPal, JobResult, PalOutcome, RetryPolicy, SeaError,
-    SecurePlatform, SessionEngine, SessionJournal, SessionReport, SessionResult, SessionTally,
-    Skinit, Slaunch, Stepped, JOURNAL_NV_INDEX,
+    SecurePlatform, SessionEngine, SessionReport, SessionResult, SessionTally, Skinit, Slaunch,
+    Stepped,
 };
 use sea_hw::{
     CpuId, FaultPlan, Platform, ResetPlan, SimDuration, TraceEvent, RATE_DENOM, RESET_REBOOT_COST,
 };
-use sea_tpm::{KeyStrength, SealedBlob, TpmError};
+use sea_tpm::{KeyStrength, TpmError};
 
 fn platform(n_cpus: u16) -> SecurePlatform {
     SecurePlatform::new(
@@ -321,21 +321,14 @@ fn durable_batch_without_resets_matches_recovered_and_checkpoints() {
     assert_eq!(d.wall, r.wall + d.journal_overhead);
 
     // The final checkpoint sits in NVRAM and replays every session.
-    let sea = pool.into_inner();
-    let tpm = sea.platform().tpm().expect("tpm");
-    let blob = tpm.nvram().read_blob(JOURNAL_NV_INDEX).expect("checkpoint");
-    let blob = SealedBlob::from_bytes(blob).unwrap();
-    let mut sea = sea;
-    let bytes = sea
-        .platform_mut()
-        .tpm_mut()
+    let mut sea = pool.into_inner();
+    let journal = read_checkpoint(sea.platform_mut().tpm_mut().unwrap())
         .unwrap()
-        .unseal(&blob)
-        .unwrap()
-        .value;
-    let journal = SessionJournal::from_bytes(&bytes).unwrap();
-    assert_eq!(journal.restore().unwrap().len(), 8);
-    assert!(journal.torn().is_empty());
+        .expect("checkpoint");
+    assert_eq!(journal.len(), 8);
+    for key in 0..8u64 {
+        assert_eq!(journal.entry(key), Some(&d.sessions[key as usize]));
+    }
 }
 
 #[test]
